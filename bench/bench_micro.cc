@@ -468,8 +468,7 @@ BENCHMARK(BM_ServiceSequential)
 // the same 4 lanes. The ratio prices the remaining continuation machinery
 // — stack switches, round staging, protocol bookkeeping — against the
 // zero threads it parks; the gate guards the recorded ratio against
-// regressing (BM_SessionResume* below prices the three resume protocols
-// head to head).
+// regressing (BM_SessionResumeFiber below prices one resume).
 void BM_ServiceOpenSessions(benchmark::State& state) {
   int sessions = static_cast<int>(state.range(0));
   std::vector<Query> targets = ServiceTargets(8);
@@ -481,7 +480,6 @@ void BM_ServiceOpenSessions(benchmark::State& state) {
   for (auto _ : state) {
     SessionRouter::Options opts;
     opts.threads = 4;
-    opts.resume_mode = ResumeMode::kFiber;
     opts.session.learner.existential.speculative_batching = true;
     opts.session.learner.universal.speculative_batching = true;
     SessionRouter router(opts);
@@ -631,19 +629,12 @@ BENCHMARK(BM_RouterContention)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Session-resume protocol trio: one pending session, R verify jobs against
-// R distinct candidates, every round suspending and resuming on a single
-// lane. Fiber resume (the default) parks the call stack and each resume is
-// one switch back — O(1) compute, zero questions re-served. Snapshot
-// resume restores the suspended decorator state and replays only the newly
-// answered round — O(R) questions re-served in total, but each resume
-// still re-walks the suspended job's prefix against the restored cache.
-// Full-prefix replay (the retired protocol, kept as the differential
-// oracle behind QHORN_RESUME_MODE=replay) rebuilds every resume from job 0
-// and re-serves the whole answered prefix — O(R²) questions. These are the
-// in-tree before/after records for the continuation-resume rework; the
-// gaps widen with R, which is why both depths are headline-gated.
-void SessionResumeRounds(benchmark::State& state, ResumeMode mode) {
+// Session resume: one pending session, R verify jobs against R distinct
+// candidates, every round parking and resuming on a single lane. Each
+// resume is one switch back into the parked stack — O(1) compute, zero
+// questions re-served (the replayed_questions counter must read 0). An
+// ungated record of resume cost at two depths.
+void BM_SessionResumeFiber(benchmark::State& state) {
   int rounds = static_cast<int>(state.range(0));
   const int n = 6;
   Rng rng(41);
@@ -661,7 +652,6 @@ void SessionResumeRounds(benchmark::State& state, ResumeMode mode) {
   for (auto _ : state) {
     SessionRouter::Options opts;
     opts.threads = 1;
-    opts.resume_mode = mode;
     SessionRouter router(opts);
     SessionRouter::SessionId id = router.OpenPending(n);
     for (const Query& c : candidates) router.SubmitVerify(id, c);
@@ -671,36 +661,12 @@ void SessionResumeRounds(benchmark::State& state, ResumeMode mode) {
     replayed = router.stats().replayed_questions;
   }
   state.SetItemsProcessed(state.iterations() * rounds);
-  // The protocol's footprint, not a timing: questions re-served to the
-  // session's own replaying backends across all resumes of one rep.
+  // Questions re-served to the session's replay stages across all resumes
+  // of one rep: a footprint, not a timing.
   state.counters["replayed_questions"] = static_cast<double>(replayed);
-}
-
-void BM_SessionResumeFiber(benchmark::State& state) {
-  SessionResumeRounds(state, ResumeMode::kFiber);
   state.SetLabel("parked-stack switch per resume, nothing re-served");
 }
 BENCHMARK(BM_SessionResumeFiber)
-    ->Arg(8)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_SessionResumeSnapshot(benchmark::State& state) {
-  SessionResumeRounds(state, ResumeMode::kSnapshot);
-  state.SetLabel("snapshot restore + single-round replay per resume");
-}
-BENCHMARK(BM_SessionResumeSnapshot)
-    ->Arg(8)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_SessionResumeReplay(benchmark::State& state) {
-  SessionResumeRounds(state, ResumeMode::kReplay);
-  state.SetLabel("full-prefix replay per resume (retired protocol)");
-}
-BENCHMARK(BM_SessionResumeReplay)
     ->Arg(8)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond)

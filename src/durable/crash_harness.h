@@ -123,12 +123,7 @@ struct CrashOutcome {
 /// machine, runs the synchronous reference, compares fingerprints — then
 /// crashes the *completed* service one last time and checks that a
 /// recovery from the final log reproduces the same fingerprints.
-/// `mode` selects the router's resume protocol for the durable service
-/// (every recovered incarnation included); kDefault derives it from the
-/// spec (`replay_resume` → kReplay, else kSnapshot), so the crash
-/// differential covers both protocols across the fuzz seeds.
-CrashOutcome RunCrashDifferential(const WorkloadSpec& spec,
-                                  ResumeMode mode = ResumeMode::kDefault);
+CrashOutcome RunCrashDifferential(const WorkloadSpec& spec);
 
 }  // namespace qhorn
 

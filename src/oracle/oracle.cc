@@ -12,11 +12,10 @@ void CountingOracle::Record(const TupleSet& question) {
 }
 
 bool CountingOracle::IsAnswer(const TupleSet& question) {
-  // Count only after the inner oracle answers: a pending backend suspends
-  // the round by throwing, and the unwound question must leave no trace in
-  // the statistics (snapshot resume captures them at exactly this
-  // boundary). Nothing below can observe stats_, so the reordering is
-  // invisible on the non-throwing path.
+  // Count only after the inner oracle answers: a cancelled parked round
+  // (pending backend) unwinds by throwing, and the unwound question must
+  // leave no trace in the statistics. Nothing below can observe stats_,
+  // so the reordering is invisible on the non-throwing path.
   bool answer = inner_->IsAnswer(question);
   ++stats_.rounds;
   Record(question);
@@ -26,8 +25,8 @@ bool CountingOracle::IsAnswer(const TupleSet& question) {
 
 void CountingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
                                    BitSpan answers) {
-  // Count only after the forward returns, so a suspended round (JobSuspended
-  // unwinding from a pending backend) contaminates nothing. Sequential
+  // Count only after the forward returns, so a cancelled parked round
+  // (JobSuspended unwinding from a pending backend) contaminates nothing. Sequential
   // equivalence: an empty batch is zero IsAnswer calls, so it counts no
   // round — branchless, this function is on the hottest round path. (The
   // empty forward is harmless: every layer treats an empty round as a
@@ -52,9 +51,8 @@ bool CachingOracle::IsAnswer(const TupleSet& question) {
   try {
     answer = inner_->IsAnswer(question);
   } catch (...) {
-    // A pending backend suspends by throwing; the unasked question must
-    // leave the cache state untouched (snapshot resume copies it at this
-    // boundary).
+    // A cancelled parked round (pending backend) unwinds by throwing; the
+    // unanswered question must leave the cache state untouched.
     --misses_;
     throw;
   }
@@ -112,9 +110,9 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
         inner_->IsAnswerBatch(miss_questions_, miss_bits);
       }
     } catch (...) {
-      // Suspended round (pending backend): erase the false placeholders
-      // inserted above and roll the counters back, so the cache holds
-      // exactly the pre-round state that snapshot resume captures.
+      // Cancelled parked round (pending backend): erase the false
+      // placeholders inserted above and roll the counters back, so the
+      // cache holds exactly the pre-round state.
       // miss_indices_ records first occurrences only, so each erase removes
       // one distinct placeholder key.
       for (size_t idx : miss_indices_) cache_.erase(questions[idx]);

@@ -133,12 +133,6 @@ class CountingOracle : public MembershipOracle {
   const OracleStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  /// Overwrites the statistics wholesale. Snapshot resume (session.h)
-  /// rebuilds a suspended session's pipeline and puts the counters back to
-  /// their pre-round values, so the re-walked question prefix is not
-  /// double-counted.
-  void RestoreStats(const OracleStats& stats) { stats_ = stats; }
-
  private:
   void Record(const TupleSet& question);
 
@@ -171,21 +165,6 @@ class CachingOracle : public MembershipOracle {
 
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
-
-  /// The memoized question → answer map, exposed so snapshot resume can
-  /// copy it at a suspension boundary.
-  const CacheMap& entries() const { return cache_; }
-
-  /// Overwrites the cache contents and counters wholesale (snapshot
-  /// restore). The hit counter handed in is usually the captured value
-  /// minus the re-walk depth: the restored attempt re-asks the suspended
-  /// job's question prefix and every one of those probes lands here as a
-  /// hit, ending exactly at the captured count.
-  void Restore(CacheMap cache, int64_t hits, int64_t misses) {
-    cache_ = std::move(cache);
-    hits_ = hits;
-    misses_ = misses;
-  }
 
  private:
   MembershipOracle* inner_;

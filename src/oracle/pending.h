@@ -5,30 +5,22 @@
 // the embedding server uses. PendingOracle models exactly that: any round
 // reaching it is by definition "not answerable synchronously", so it
 // records the round's questions as a PendingRound{session_id, round_id,
-// questions} and suspends the in-flight job. How it suspends depends on
-// how the runner entered the job:
+// questions} and parks the in-flight job.
 //
-//   * Unwind (no yield hook installed): throw JobSuspended
-//     (src/util/suspend.h) — the job unwinds off its executor lane at the
-//     round boundary. Re-entry is by replay: once the answers arrive
-//     (SessionRouter::ProvideAnswers) the job is re-run, the answered
-//     rounds are served below the user boundary (snapshot-restored cache
-//     or ReplayOracle), and the first genuinely new round reaches this
-//     backend again. Learners are deterministic functions of the
-//     transcript, so the re-run asks the identical question sequence and
-//     the completing run's observables are bit-identical to a synchronous
-//     session over the same answers.
+// Parking is the only suspension: the job runs on a Fiber
+// (src/util/fiber.h) and the installed yield hook switches back to the
+// runner with the whole call stack kept alive. Once the answers arrive,
+// the runner stages them (StageResumeAnswers) and resumes the fiber: the
+// suspended IsAnswerBatch fills its answer span from the staged bits and
+// simply returns to the learner — no re-run, no replay, O(1) compute per
+// resume. A round reaching a backend with no hook installed is a runner
+// bug and aborts with a diagnostic before anything is recorded.
 //
-//   * Park (yield hook installed — ResumeMode::kFiber): the job runs on a
-//     Fiber (src/util/fiber.h) and the hook switches back to the runner
-//     with the whole call stack kept alive. Once the answers arrive, the
-//     runner stages them (StageResumeAnswers) and resumes the fiber: the
-//     suspended IsAnswerBatch fills its answer span from the staged bits
-//     and simply returns to the learner — no re-run, no replay, O(1)
-//     compute per resume. RequestCancel() makes the *next* resume throw
-//     JobSuspended from the parked wait-site instead, which is how owners
-//     unwind a parked stack they need to abandon (correction, close,
-//     shutdown).
+// RequestCancel() makes the *next* resume throw JobSuspended from the
+// parked wait-site instead, which is how owners unwind a parked stack
+// they need to abandon (correction, close, shutdown): the exception
+// unwinds the learner frames and the fiber body catches it at its
+// boundary.
 //
 // Round ids count *user-boundary* rounds (each suspension is one round);
 // they are the resumption protocol's sequence numbers, distinct from the
@@ -48,6 +40,12 @@
 
 namespace qhorn {
 
+/// Thrown from a parked wait-site whose owner requested a cancel, to unwind
+/// the abandoned stack; caught only by the fiber body that runs session
+/// jobs. A control-flow signal, not an error: it deliberately does not
+/// derive from std::exception so generic handlers cannot swallow it.
+struct JobSuspended {};
+
 /// One round of membership questions awaiting a real user's answers.
 struct PendingRound {
   int64_t session_id = 0;  ///< the SessionRouter session that suspended
@@ -55,7 +53,7 @@ struct PendingRound {
   std::vector<TupleSet> questions;
 };
 
-/// Backend whose every (non-empty) round suspends the in-flight job.
+/// Backend whose every (non-empty) round parks the in-flight job.
 class PendingOracle : public MembershipOracle {
  public:
   PendingOracle() = default;
@@ -69,10 +67,10 @@ class PendingOracle : public MembershipOracle {
   /// carry. Clears any stale pending round from an abandoned attempt.
   void BeginAttempt(int64_t next_round_id);
 
-  /// Installs (or clears, with nullptr) the park-instead-of-throw hook.
-  /// The hook must switch back to the runner and return only when answers
-  /// have been staged or a cancel was requested. Installed once per fiber
-  /// attempt by the runner; never changed while a round is in flight.
+  /// Installs (or clears, with nullptr) the park hook. The hook must switch
+  /// back to the runner and return only when answers have been staged or a
+  /// cancel was requested. Installed once per fiber attempt by the runner;
+  /// never changed while a round is in flight.
   void InstallYieldHook(std::function<void()> yield);
 
   /// Stages the answers for the parked round before the runner resumes the
@@ -84,27 +82,27 @@ class PendingOracle : public MembershipOracle {
   /// finishes without touching the learner again.
   void RequestCancel() { cancel_requested_ = true; }
 
-  /// Single-question round: suspends (parks or throws) and, on a parked
-  /// resume, returns the staged answer.
+  /// Single-question round: parks and, on resume, returns the staged
+  /// answer.
   bool IsAnswer(const TupleSet& question) override;
 
-  /// Records the round and suspends. An empty round returns immediately
-  /// (no round, no suspension — nothing to ask a user). On a parked
-  /// resume, fills `answers` from the staged bits.
+  /// Records the round and parks. An empty round returns immediately (no
+  /// round, no suspension — nothing to ask a user). On resume, fills
+  /// `answers` from the staged bits.
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
   bool has_pending() const { return has_pending_; }
 
-  /// Harvests the recorded round after a suspension reaches the runner.
+  /// Harvests the recorded round after the job parks.
   PendingRound TakePending();
 
-  /// Rounds that suspended (a per-session statistic; replayed rounds never
+  /// Rounds that parked (a per-session statistic; replayed rounds never
   /// reach this backend, so each user round counts exactly once).
   int64_t suspensions() const { return suspensions_; }
 
  private:
-  /// Records the round, suspends, and (parked path only) fills `answers`.
+  /// Records the round, parks, and on resume fills `answers`.
   void SuspendAndAwait(std::vector<TupleSet> questions, BitSpan answers);
 
   int64_t session_id_ = 0;

@@ -5,10 +5,9 @@
 namespace qhorn {
 
 bool TranscriptOracle::IsAnswer(const TupleSet& question) {
-  // The round id is consumed only after the inner oracle answers: a pending
-  // backend suspends the round by throwing, and the unanswered round must
-  // not burn an id or leave an entry (snapshot resume re-records the same
-  // rounds with the same ids on the restored attempt's re-walk).
+  // The round id is consumed only after the inner oracle answers: a
+  // cancelled parked round (pending backend) unwinds by throwing, and the
+  // unanswered round must not burn an id or leave an entry.
   bool response = inner_->IsAnswer(question);
   int64_t round = rounds_++;
   entries_.push_back(TranscriptEntry{question, response, round});
@@ -19,7 +18,7 @@ void TranscriptOracle::IsAnswerBatch(std::span<const TupleSet> questions,
                                      BitSpan answers) {
   // An empty batch is zero sequential questions: no round id is consumed,
   // nothing is recorded, and the inner oracle is not called. The round id
-  // is consumed after the forward returns, so a suspended round leaves the
+  // is consumed after the forward returns, so a cancelled round leaves the
   // history untouched.
   if (questions.empty()) return;
   inner_->IsAnswerBatch(questions, answers);
@@ -62,7 +61,7 @@ bool ReplayOracle::TryReplay(const TupleSet& question, bool* response) {
 bool ReplayOracle::IsAnswer(const TupleSet& question) {
   bool response = false;
   if (TryReplay(question, &response)) return response;
-  // Counted after the fallback answers, so a suspended question (pending
+  // Counted after the fallback answers, so a cancelled question (pending
   // backend throwing JobSuspended) is not recorded as asked.
   bool answer = fallback_->IsAnswer(question);
   ++asked_;

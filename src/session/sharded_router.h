@@ -79,9 +79,6 @@ class ShardedRouter {
     /// to synchronous in-caller execution — the differential baseline.
     int threads = 0;
     QuerySession::Options session;
-    /// Resume protocol, resolved identically by every shard (see
-    /// SessionRouter::Options::resume_mode).
-    ResumeMode resume_mode = ResumeMode::kDefault;
   };
 
   ShardedRouter() : ShardedRouter(Options()) {}
@@ -141,7 +138,8 @@ class ShardedRouter {
   /// job, like SessionRouter::stats().
   ServiceStats stats();
 
-  ResumeMode resume_mode() const { return shards_.front()->resume_mode(); }
+  /// Always kFiber; kept for callers that report the resume protocol.
+  ResumeMode resume_mode() const { return ResumeMode::kFiber; }
   int shards() const { return static_cast<int>(shards_.size()); }
   int ShardOf(SessionId id) const {
     return static_cast<int>(id % static_cast<SessionId>(shards_.size()));

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/util/check.h"
-#include "src/util/suspend.h"
 
 namespace qhorn {
 
@@ -16,11 +15,7 @@ namespace {
 thread_local const Executor* tls_executor = nullptr;
 thread_local int tls_worker_index = -1;
 
-/// Runs a pool task with the suspension contract enforced: JobSuspended is
-/// a round-boundary signal that must be caught at the job runner
-/// (SessionRouter) — if one reaches an executor lane the session it
-/// belongs to would silently leak, so fail loudly instead of terminating
-/// with an opaque unhandled-exception abort.
+/// Runs a pool task.
 void RunTask(const std::function<void()>& task) {
   // Tasks must start with no checked locks held: Post() under a lock
   // deadlocks at concurrency 1 (where tasks run inline in the caller),
@@ -28,13 +23,7 @@ void RunTask(const std::function<void()>& task) {
   // task. Rank ordering alone cannot catch the inline case — no executor
   // mutex is touched on that path — so assert it here.
   LockRankChecker::AssertNoneHeld("an executor task");
-  try {
-    task();
-  } catch (const JobSuspended&) {
-    QHORN_CHECK_MSG(false,
-                    "JobSuspended escaped onto an executor lane: suspending "
-                    "jobs must be run through a continuation-aware runner");
-  }
+  task();
 }
 
 }  // namespace

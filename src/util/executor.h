@@ -64,9 +64,7 @@ class Executor {
 
   /// Enqueues `task` for asynchronous execution. At concurrency 1 the task
   /// runs inline before Post returns. Tasks must not leak exceptions onto
-  /// their lane; in particular the JobSuspended continuation signal
-  /// (src/util/suspend.h) must be caught by the job runner inside the
-  /// task — a suspension reaching the executor aborts with a diagnostic.
+  /// their lane.
   void Post(std::function<void()> task);
 
   /// Invokes body(begin, end) over disjoint ranges covering [0, n), in

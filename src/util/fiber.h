@@ -1,14 +1,11 @@
 // Fiber — a stackful continuation for parked session jobs.
 //
 // The pending-round protocol suspends a job at a user-boundary round and
-// resumes it when the answers arrive. Unwind-based suspension (JobSuspended
-// + replay, src/util/suspend.h) keeps learners untouched but makes every
-// resume re-execute the suspended job's question prefix: O(prefix) compute
-// per resume, O(rounds²) per session even when the replayed questions are
-// all cache hits. A fiber removes the re-execution entirely: the suspended
-// job's call stack stays alive on its own mmap'd stack, and a resume is one
-// context switch back into the exact frame that asked the question —
-// O(1) compute per resume, O(rounds) per session.
+// resumes it when the answers arrive. A fiber is how it suspends: the
+// job's call stack stays alive on its own mmap'd stack while the user
+// thinks, and a resume is one context switch back into the exact frame
+// that asked the question — O(1) compute per resume, O(rounds) per
+// session, nothing re-executed.
 //
 // This is the minimal fiber for that one job: cooperatively scheduled,
 // one-shot (runs its body to completion once), switched only by its owner
@@ -49,11 +46,11 @@ class Fiber {
   /// walk over a compiled-query pipeline) uses a small fraction of this,
   /// and the allocation is lazily committed — resident memory is only the
   /// pages actually touched, so a fleet of parked sessions stays cheap.
-  static constexpr size_t kDefaultStackBytes = 512 * 1024;
+  static constexpr size_t kStackBytes = 512 * 1024;
 
   /// Allocates the stack; the body does not start until the first Resume().
   explicit Fiber(std::function<void()> body,
-                 size_t stack_bytes = kDefaultStackBytes);
+                 size_t stack_bytes = kStackBytes);
   /// Requires finished() (or never resumed); aborts otherwise — see the
   /// lifecycle contract above.
   ~Fiber();

@@ -271,15 +271,9 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
   return result;
 }
 
-FleetResult FleetDriver::RunPending(int lanes_override, ResumeMode mode,
-                                    int shards_override) {
+FleetResult FleetDriver::RunPending(int lanes_override, int shards_override) {
   const int threads =
       lanes_override > 0 ? lanes_override : fleet_.spec.lanes;
-  const ResumeMode resume =
-      mode != ResumeMode::kDefault
-          ? mode
-          : (fleet_.spec.replay_resume ? ResumeMode::kReplay
-                                       : ResumeMode::kFiber);
   QuerySession::Options sopts;
   sopts.learner.existential.speculative_batching =
       fleet_.spec.speculative_batching;
@@ -292,7 +286,6 @@ FleetResult FleetDriver::RunPending(int lanes_override, ResumeMode mode,
     SessionRouter::Options ropts;
     ropts.threads = threads;
     ropts.session = sopts;
-    ropts.resume_mode = resume;
     SessionRouter router(ropts);
     RouterEndpoint endpoint(&router);
     return RunHostile(endpoint);
@@ -301,7 +294,6 @@ FleetResult FleetDriver::RunPending(int lanes_override, ResumeMode mode,
   ropts.shards = shards;
   ropts.threads = threads;
   ropts.session = sopts;
-  ropts.resume_mode = resume;
   ShardedRouter router(ropts);
   ShardedRouterEndpoint endpoint(&router);
   return RunHostile(endpoint);

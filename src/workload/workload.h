@@ -104,19 +104,17 @@ struct WorkloadSpec {
   double latency_alpha = 1.0;
   int latency_cap_ticks = 6;
 
-  // Service-configuration knobs (PR 8). Both change the question stream /
-  // resume machinery deterministically, so the differential arms must (and
-  // do) apply them identically.
+  // Service-configuration knob: it changes the question stream
+  // deterministically, so the differential arms must (and do) apply it
+  // identically.
   /// Run the rp learner's round-sparing speculation in *every* arm: the
   /// existential walk's always-batch level probes and batched prune
   /// (RpExistentialOptions::speculative_batching) plus the universal
   /// walk's speculative extraction sweep and cross-head bodyless round
   /// (RpUniversalOptions::speculative_batching).
   bool speculative_batching = false;
-  /// Drive the concurrent arm's router in full-prefix replay resume mode
-  /// instead of the default fiber mode (the fuzz sweep draws this so the
-  /// resume protocols see hostile traffic; the snapshot mode gets its own
-  /// explicit arms in the differential tests).
+  /// Not read: there is one resume protocol. Kept so callers that set it
+  /// still compile; FromSeed still consumes its draw (see there).
   bool replay_resume = false;
 
   /// Router shards the hostile arm runs behind (PR 9): 1 is the classic

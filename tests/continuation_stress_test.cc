@@ -6,7 +6,9 @@
 // every per-session observable is bit-identical to a single-threaded
 // synchronous replay of the same jobs over the same answers. The sharded
 // variant drives the same fleet through the ShardedRouter facade at 1, 2
-// and 8 shards and pins its fingerprints to the synchronous arm too.
+// and 8 shards and pins its fingerprints to the synchronous arm too; the
+// correction variant restarts every session once mid-run and pins its
+// fingerprints to a 1-lane run of the same corrections.
 //
 // Runs under the tsan preset with QHORN_THREADS=8 in CI (the router's
 // lane count is pinned to 4 explicitly; QHORN_THREADS exercises the
@@ -280,21 +282,22 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
   }
 }
 
-TEST(ContinuationStressTest, ResumeDepthIsLinearInRoundsUnderSnapshotResume) {
-  // The O(rounds) gate of the snapshot-resume protocol. 256 pending learn
-  // sessions on 4 lanes, every answered round a separate suspension: under
-  // snapshot resume each answered question must cross the user-boundary
-  // replay stage *exactly once* over the session's whole lifetime —
-  // replayed == answered, per session, with zero slack. The retired
-  // full-prefix protocol re-serves the whole prefix on every resume; a
-  // small replay-mode control group certifies the quadratic blowup is real
-  // (so this test would actually catch a silent fallback to it).
+TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
+  // The O(1)-per-resume gate. 256 pending learn sessions on 4 lanes, every
+  // answered round a separate suspension: each resume feeds the answers
+  // into the parked frame, so not one question crosses a user-boundary
+  // replay stage over a session's whole lifetime, however deep it goes.
   constexpr int kSessions = 256;
   constexpr int kLanes = 4;
   const int n = 8;
 
+  SessionRouter::Options opts;
+  opts.threads = kLanes;
+  SessionRouter router(opts);
   std::vector<Query> targets;
-  targets.reserve(kSessions);
+  std::vector<std::unique_ptr<QueryOracle>> truths;
+  std::vector<SessionRouter::SessionId> ids;
+  std::map<SessionRouter::SessionId, size_t> index_of;
   for (int s = 0; s < kSessions; ++s) {
     Rng rng(7000 + static_cast<uint64_t>(s));
     RpOptions qopts;
@@ -303,106 +306,169 @@ TEST(ContinuationStressTest, ResumeDepthIsLinearInRoundsUnderSnapshotResume) {
     qopts.num_conjunctions = 3;
     qopts.conj_size_max = 4;
     targets.push_back(RandomRolePreserving(n, rng, qopts));
+    truths.push_back(std::make_unique<QueryOracle>(targets.back()));
+    SessionRouter::SessionId id = router.OpenPending(n);
+    index_of[id] = static_cast<size_t>(s);
+    ids.push_back(id);
+    EXPECT_TRUE(router.SubmitLearn(id));
+  }
+  for (;;) {
+    router.Drain();
+    std::vector<PendingRound> rounds = router.PendingRounds();
+    if (rounds.empty()) break;
+    for (PendingRound& round : rounds) {
+      BitVec bits;
+      BitSpan span = bits.Prepare(round.questions.size());
+      truths[index_of.at(round.session_id)]->IsAnswerBatch(round.questions,
+                                                           span);
+      EXPECT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
+                ProvideOutcome::kResumed);
+    }
   }
 
-  // Drives `count` pending learn sessions to completion, answering every
-  // pending round each sweep, and returns {answered questions, replayed
-  // questions, suspensions} summed per session.
-  struct DepthResult {
-    std::vector<int64_t> answered;
-    std::vector<int64_t> replayed;
-    std::vector<int64_t> suspensions;
-  };
-  auto run_fleet = [&](int count, ResumeMode mode) {
-    SessionRouter::Options opts;
-    opts.threads = kLanes;
-    opts.resume_mode = mode;
-    SessionRouter router(opts);
-    std::vector<std::unique_ptr<QueryOracle>> truths;
-    std::vector<SessionRouter::SessionId> ids;
-    std::map<SessionRouter::SessionId, size_t> index_of;
-    DepthResult result;
-    result.answered.assign(static_cast<size_t>(count), 0);
-    result.replayed.assign(static_cast<size_t>(count), 0);
-    result.suspensions.assign(static_cast<size_t>(count), 0);
-    for (int s = 0; s < count; ++s) {
-      truths.push_back(
-          std::make_unique<QueryOracle>(targets[static_cast<size_t>(s)]));
-      SessionRouter::SessionId id = router.OpenPending(n);
-      index_of[id] = static_cast<size_t>(s);
-      ids.push_back(id);
-      EXPECT_TRUE(router.SubmitLearn(id));
-    }
-    for (;;) {
-      router.Drain();
-      std::vector<PendingRound> rounds = router.PendingRounds();
-      if (rounds.empty()) break;
-      for (PendingRound& round : rounds) {
-        size_t idx = index_of.at(round.session_id);
-        BitVec bits;
-        BitSpan span = bits.Prepare(round.questions.size());
-        truths[idx]->IsAnswerBatch(round.questions, span);
-        result.answered[idx] += static_cast<int64_t>(round.questions.size());
-        EXPECT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
-                  ProvideOutcome::kResumed);
-      }
-    }
-    for (int s = 0; s < count; ++s) {
-      size_t idx = static_cast<size_t>(s);
-      result.replayed[idx] =
-          router.session(ids[idx]).user_questions_replayed();
-      result.suspensions[idx] = router.suspensions(ids[idx]);
-      EXPECT_EQ(router.status(ids[idx]), SessionStatus::kIdle);
-      EXPECT_TRUE(Equivalent(*router.session(ids[idx]).current_query(),
-                             targets[idx]));
-    }
-    return result;
-  };
-
-  DepthResult snapshot = run_fleet(kSessions, ResumeMode::kSnapshot);
   int64_t total_suspensions = 0;
   for (int s = 0; s < kSessions; ++s) {
     size_t idx = static_cast<size_t>(s);
-    // The linearity contract, exact: every answered question crossed the
-    // user-boundary replay stage once — no quadratic prefix re-serving,
-    // and nothing ever asked the user twice.
-    ASSERT_EQ(snapshot.replayed[idx], snapshot.answered[idx])
-        << "session " << s << " re-served its answered prefix";
-    EXPECT_GE(snapshot.suspensions[idx], 8)
-        << "session " << s << " must suspend per user round, many times";
-    total_suspensions += snapshot.suspensions[idx];
-  }
-  // Deep sessions on average: the fleet's resume depth is what makes the
-  // linear bound interesting (≥ 64 rounds mean, so the quadratic protocol
-  // would replay ≥ ~32× more than the linear one did).
-  EXPECT_GE(total_suspensions, 64 * kSessions);
-
-  // The default protocol beats the linear bound outright: fiber resume
-  // feeds answers into the parked frame, so *nothing* is replayed at the
-  // user boundary — while the user-visible question stream (and thus the
-  // suspension count) stays identical question for question.
-  DepthResult fiber = run_fleet(kSessions, ResumeMode::kFiber);
-  for (int s = 0; s < kSessions; ++s) {
-    size_t idx = static_cast<size_t>(s);
-    ASSERT_EQ(fiber.answered[idx], snapshot.answered[idx])
-        << "fiber resume changed the user-visible question stream";
-    ASSERT_EQ(fiber.suspensions[idx], snapshot.suspensions[idx])
-        << "fiber resume changed the round structure";
-    ASSERT_EQ(fiber.replayed[idx], 0)
+    QuerySession& session = router.session(ids[idx]);
+    EXPECT_EQ(router.status(ids[idx]), SessionStatus::kIdle);
+    EXPECT_TRUE(Equivalent(*session.current_query(), targets[idx]));
+    ASSERT_EQ(session.user_questions_replayed(), 0)
         << "session " << s << " replayed questions despite a parked stack";
+    const int64_t suspensions = router.suspensions(ids[idx]);
+    EXPECT_GE(suspensions, 8)
+        << "session " << s << " must suspend per user round, many times";
+    total_suspensions += suspensions;
+  }
+  // Deep sessions on average (≥ 64 rounds mean): a protocol that re-served
+  // its prefix per resume would show up here as tens of thousands of
+  // replayed questions, not zero.
+  EXPECT_GE(total_suspensions, 64 * kSessions);
+}
+
+// What one arm of the correction stress run observed.
+struct CorrectionArm {
+  std::vector<std::string> fingerprints;
+  int64_t corrections = 0;
+};
+
+// Drives the plan fleet over pending users on `lanes` lanes. Each session
+// answers one seeded round with one seeded bit flipped and corrects that
+// entry back at its very next suspension; every other round is answered
+// truthfully. The schedule is a pure function of the session's own seed
+// and its own round count, so every arm applies the same corrections.
+CorrectionArm RunCorrectionArm(const std::vector<SessionPlan>& plans, int n,
+                               int lanes) {
+  struct Driver {
+    std::unique_ptr<QueryOracle> truth;
+    int64_t rounds_answered = 0;
+    int64_t flip_round = 0;
+    uint64_t flip_pick = 0;
+    size_t entries_answered = 0;
+    size_t flipped_entry = 0;
+    bool flipped = false;
+    bool corrected = false;
+  };
+  SessionRouter::Options opts;
+  opts.threads = lanes;
+  SessionRouter router(opts);
+  std::vector<Driver> drivers(plans.size());
+  std::vector<SessionRouter::SessionId> ids;
+  std::map<SessionRouter::SessionId, size_t> index_of;
+  for (size_t s = 0; s < plans.size(); ++s) {
+    Rng rng(9100 + s);
+    drivers[s].truth = std::make_unique<QueryOracle>(plans[s].target);
+    drivers[s].flip_round = rng.Range(0, 2);
+    drivers[s].flip_pick = rng.Next();
+    SessionRouter::SessionId id = router.OpenPending(n);
+    index_of[id] = s;
+    ids.push_back(id);
+    SubmitPlan(router, id, plans[s]);
+  }
+  // No Drain between calls inside a sweep: a correction's restart and the
+  // other sessions' resumes run on the lanes while the sweep goes on.
+  Rng sched(4242);
+  for (;;) {
+    router.Drain();
+    std::vector<PendingRound> rounds = router.PendingRounds();
+    if (rounds.empty()) break;
+    sched.Shuffle(&rounds);
+    for (PendingRound& round : rounds) {
+      Driver& d = drivers[index_of.at(round.session_id)];
+      if (d.flipped && !d.corrected) {
+        EXPECT_EQ(router.CorrectAnswer(round.session_id, d.flipped_entry),
+                  ProvideOutcome::kResumed);
+        d.corrected = true;
+        continue;
+      }
+      BitVec bits;
+      BitSpan span = bits.Prepare(round.questions.size());
+      d.truth->IsAnswerBatch(round.questions, span);
+      if (!d.flipped && d.rounds_answered == d.flip_round) {
+        const size_t bit = d.flip_pick % round.questions.size();
+        span.Set(bit, !span.Get(bit));
+        d.flipped_entry = d.entries_answered + bit;
+        d.flipped = true;
+      }
+      EXPECT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
+                ProvideOutcome::kResumed);
+      ++d.rounds_answered;
+      d.entries_answered += round.questions.size();
+    }
+  }
+  CorrectionArm arm;
+  for (SessionRouter::SessionId id : ids) {
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+    arm.fingerprints.push_back(SessionFingerprint(router.session(id)));
+  }
+  arm.corrections = router.stats().corrections;
+  return arm;
+}
+
+TEST(ContinuationStressTest, CorrectionsUnderConcurrencyMatchOneLane) {
+  // The restart path under load. A correction is the only caller of the
+  // full-prefix replay with a non-empty prefix: it unwinds the parked
+  // stack and restarts the session's job log on a fresh fiber. 64 plan
+  // sessions on 4 lanes each correct one answered entry at a seeded
+  // point while the others keep resuming around them; per-session
+  // fingerprints must equal a 1-lane run applying the same corrections —
+  // and, since each correction restores the truthful answer, a
+  // synchronous run over a truthful user.
+  constexpr int kSessions = 64;
+  constexpr int kLanes = 4;
+  const int n = 8;
+  std::vector<SessionPlan> plans;
+  for (int s = 0; s < kSessions; ++s) {
+    plans.push_back(MakePlan(n, 8100 + static_cast<uint64_t>(s)));
+    // A trailing verification always asks the user something, so a
+    // session whose flipped answer ends its learn early still suspends
+    // once more and reaches its correction.
+    plans.back().jobs.push_back(1);
   }
 
-  // Control group: the same first sessions under the retired full-prefix
-  // protocol really do replay quadratically (identical observables — the
-  // differential suites pin that — but a prefix re-serve per resume).
-  constexpr int kControlSessions = 8;
-  DepthResult replay = run_fleet(kControlSessions, ResumeMode::kReplay);
-  for (int s = 0; s < kControlSessions; ++s) {
-    size_t idx = static_cast<size_t>(s);
-    EXPECT_EQ(replay.answered[idx], snapshot.answered[idx])
-        << "both modes must ask the user the exact same questions";
-    EXPECT_GE(replay.replayed[idx], 5 * replay.answered[idx])
-        << "full-prefix resume should dwarf the linear bound at this depth";
+  CorrectionArm concurrent = RunCorrectionArm(plans, n, kLanes);
+  CorrectionArm one_lane = RunCorrectionArm(plans, n, 1);
+  EXPECT_EQ(concurrent.corrections, kSessions)
+      << "every session must reach its correction";
+  EXPECT_EQ(one_lane.corrections, kSessions);
+
+  SessionRouter::Options sync_opts;
+  sync_opts.threads = 1;
+  SessionRouter sync_router(sync_opts);
+  std::vector<std::unique_ptr<QueryOracle>> sync_truths;
+  std::vector<SessionRouter::SessionId> sync_ids;
+  for (const SessionPlan& plan : plans) {
+    sync_truths.push_back(std::make_unique<QueryOracle>(plan.target));
+    sync_ids.push_back(sync_router.Open(n, sync_truths.back().get()));
+    SubmitPlan(sync_router, sync_ids.back(), plan);
+  }
+  sync_router.Drain();
+
+  for (size_t s = 0; s < plans.size(); ++s) {
+    ASSERT_EQ(concurrent.fingerprints[s], one_lane.fingerprints[s])
+        << "session " << s << " diverged from its 1-lane correction run";
+    ASSERT_EQ(concurrent.fingerprints[s],
+              SessionFingerprint(sync_router.session(sync_ids[s])))
+        << "session " << s << " diverged from the truthful synchronous run";
   }
 }
 

@@ -1,14 +1,14 @@
 // Pending-round session continuations: the PendingOracle backend, the
 // router's kIdle/kRunning/kAwaitingUser state machine, the
 // PendingRounds()/ProvideAnswers embedding-server protocol, and the
-// resumption-by-replay determinism contract.
+// park-and-resume determinism contract.
 //
 // The load-bearing properties:
 //   * a session blocked on a real user holds no lane (another session can
 //     run on a one-lane router while the first waits),
-//   * resumption replays the answered prefix, so after the final resume
-//     every observable is bit-identical to a synchronous run over the
-//     same answers,
+//   * a resume continues the parked frame with the user's answers, so
+//     after the final resume every observable is bit-identical to a
+//     synchronous run over the same answers,
 //   * malformed ProvideAnswers calls (stale round id, wrong answer count,
 //     unknown/closed session) are rejected without touching the session.
 //
@@ -30,7 +30,7 @@
 #include "src/oracle/pending.h"
 #include "src/session/router.h"
 #include "src/util/bit_span.h"
-#include "src/util/suspend.h"
+#include "src/util/fiber.h"
 #include "tests/session_fingerprint.h"
 
 namespace qhorn {
@@ -40,6 +40,9 @@ namespace {
 // PendingOracle unit behaviour.
 
 TEST(PendingOracleTest, NonEmptyRoundRecordsQuestionsAndSuspends) {
+  // The backend as the router drives it: the rounds run on a fiber, each
+  // one parks through the yield hook, and a resume hands back the staged
+  // answers.
   PendingOracle oracle;
   oracle.set_session_id(42);
   oracle.BeginAttempt(/*next_round_id=*/3);
@@ -47,7 +50,15 @@ TEST(PendingOracleTest, NonEmptyRoundRecordsQuestionsAndSuspends) {
   std::vector<TupleSet> questions = {RandomObject(4, rng, 3),
                                      RandomObject(4, rng, 3)};
   BitVec bits;
-  EXPECT_THROW(oracle.IsAnswerBatch(questions, bits.Prepare(2)), JobSuspended);
+  BitSpan span = bits.Prepare(2);
+  bool single = false;
+  Fiber fiber([&] {
+    oracle.IsAnswerBatch(questions, span);
+    single = oracle.IsAnswer(questions[0]);
+  });
+  oracle.InstallYieldHook([&fiber] { fiber.Yield(); });
+  fiber.Resume();
+  ASSERT_FALSE(fiber.finished());
   ASSERT_TRUE(oracle.has_pending());
   PendingRound round = oracle.TakePending();
   EXPECT_EQ(round.session_id, 42);
@@ -58,12 +69,34 @@ TEST(PendingOracleTest, NonEmptyRoundRecordsQuestionsAndSuspends) {
   EXPECT_FALSE(oracle.has_pending());
   EXPECT_EQ(oracle.suspensions(), 1);
 
-  // The single-question path is a one-question round.
-  oracle.BeginAttempt(4);
-  EXPECT_THROW(oracle.IsAnswer(questions[0]), JobSuspended);
+  // The resumed batch returns the staged bits; the single-question path is
+  // then a one-question round carrying the next id.
+  oracle.StageResumeAnswers({true, false});
+  fiber.Resume();
+  EXPECT_TRUE(span.Get(0));
+  EXPECT_FALSE(span.Get(1));
+  ASSERT_FALSE(fiber.finished());
   round = oracle.TakePending();
   EXPECT_EQ(round.round_id, 4);
   ASSERT_EQ(round.questions.size(), 1u);
+  oracle.StageResumeAnswers({true});
+  fiber.Resume();
+  EXPECT_TRUE(fiber.finished());
+  EXPECT_TRUE(single);
+  EXPECT_EQ(oracle.suspensions(), 2);
+}
+
+TEST(PendingOracleDeathTest, RoundWithoutYieldHookAborts) {
+  // Parking is the only way a pending round suspends: a round reaching a
+  // backend that no fiber runner has hooked is a runner bug, refused
+  // before the round is recorded.
+  PendingOracle oracle;
+  oracle.BeginAttempt(0);
+  Rng rng(1);
+  std::vector<TupleSet> questions = {RandomObject(4, rng, 3)};
+  BitVec bits;
+  EXPECT_DEATH(oracle.IsAnswerBatch(questions, bits.Prepare(1)),
+               "no yield hook");
 }
 
 TEST(PendingOracleTest, EmptyRoundIsANoOpNotASuspension) {
@@ -492,150 +525,129 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
   // on the mislearned path, then corrects the flipped entry: the session
   // must restart, replay the corrected prefix without re-asking it, and
   // converge to the exact observables of a user who answered truthfully
-  // from the start. All three resume modes take the same correction path
-  // (fiber mode additionally exercises the cancel/unwind of the parked
-  // stack before the fresh full-prefix attempt).
+  // from the start. The parked stack built over the flipped answer is
+  // cancelled and unwound before the fresh full-prefix attempt.
   Query target = SmallTarget(5, 97);
-  for (ResumeMode mode :
-       {ResumeMode::kFiber, ResumeMode::kSnapshot, ResumeMode::kReplay}) {
-    SessionRouter::Options opts;
-    opts.threads = 1;  // inline: each resume runs to its next suspension
-    opts.resume_mode = mode;
-    SessionRouter router(opts);
-    QueryOracle truth(target);
-    SessionRouter::SessionId id = router.OpenPending(5);
-    router.SubmitLearn(id);
-    router.Drain();
-    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
-    std::vector<PendingRound> rounds = router.PendingRounds();
-    ASSERT_EQ(rounds.size(), 1u);
-    const PendingRound round0 = rounds[0];
+  SessionRouter::Options opts;
+  opts.threads = 1;  // inline: each resume runs to its next suspension
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  SessionRouter::SessionId id = router.OpenPending(5);
+  router.SubmitLearn(id);
+  router.Drain();
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  std::vector<PendingRound> rounds = router.PendingRounds();
+  ASSERT_EQ(rounds.size(), 1u);
+  const PendingRound round0 = rounds[0];
 
-    // Round 0 goes back with its first answer flipped.
-    BitVec bits;
-    BitSpan span = bits.Prepare(round0.questions.size());
-    truth.IsAnswerBatch(round0.questions, span);
-    span.Set(0, !span.Get(0));
-    ASSERT_EQ(router.ProvideAnswers(id, round0.round_id, span),
-              ProvideOutcome::kResumed);
-    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser)
-        << "one flipped bit cannot complete a learn at n=5";
-    std::vector<PendingRound> mislearned = router.PendingRounds();
-    ASSERT_EQ(mislearned.size(), 1u);
-    const PendingRound abandoned = mislearned[0];
+  // Round 0 goes back with its first answer flipped.
+  BitVec bits;
+  BitSpan span = bits.Prepare(round0.questions.size());
+  truth.IsAnswerBatch(round0.questions, span);
+  span.Set(0, !span.Get(0));
+  ASSERT_EQ(router.ProvideAnswers(id, round0.round_id, span),
+            ProvideOutcome::kResumed);
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser)
+      << "one flipped bit cannot complete a learn at n=5";
+  std::vector<PendingRound> mislearned = router.PendingRounds();
+  ASSERT_EQ(mislearned.size(), 1u);
+  const PendingRound abandoned = mislearned[0];
 
-    // Garbage corrections first: they must reject without touching state.
-    EXPECT_EQ(router.CorrectAnswer(id + 999, 0),
-              ProvideOutcome::kUnknownSession);
-    EXPECT_EQ(router.CorrectAnswer(id, round0.questions.size() + 50),
-              ProvideOutcome::kAnswerCountMismatch);
-    EXPECT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  // Garbage corrections first: they must reject without touching state.
+  EXPECT_EQ(router.CorrectAnswer(id + 999, 0),
+            ProvideOutcome::kUnknownSession);
+  EXPECT_EQ(router.CorrectAnswer(id, round0.questions.size() + 50),
+            ProvideOutcome::kAnswerCountMismatch);
+  EXPECT_EQ(router.status(id), SessionStatus::kAwaitingUser);
 
-    // The real correction: flip entry 0 back to the truthful answer. The
-    // session restarts its job log; the corrected prefix is replayed (the
-    // user is not re-asked), and the session re-suspends on the question
-    // stream a truthful round 0 produces.
-    ASSERT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kResumed);
-    router.Drain();
-    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
-    // The abandoned round's id was retired: a stale reply to it bounces.
-    EXPECT_EQ(router.ProvideAnswers(id, abandoned.round_id,
-                                    bits.Prepare(abandoned.questions.size())),
-              ProvideOutcome::kStaleRound);
+  // The real correction: flip entry 0 back to the truthful answer. The
+  // session restarts its job log; the corrected prefix is replayed (the
+  // user is not re-asked), and the session re-suspends on the question
+  // stream a truthful round 0 produces.
+  ASSERT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kResumed);
+  router.Drain();
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  // The abandoned round's id was retired: a stale reply to it bounces.
+  EXPECT_EQ(router.ProvideAnswers(id, abandoned.round_id,
+                                  bits.Prepare(abandoned.questions.size())),
+            ProvideOutcome::kStaleRound);
 
-    // Answer truthfully to completion; every observable must equal a
-    // clean synchronous run over the truthful answer stream.
-    AnswerAllPending(router, {{id, &truth}});
-    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
-    EXPECT_EQ(router.stats().corrections, 1);
-    EXPECT_TRUE(Equivalent(*router.session(id).current_query(), target));
+  // Answer truthfully to completion; every observable must equal a
+  // clean synchronous run over the truthful answer stream.
+  AnswerAllPending(router, {{id, &truth}});
+  EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+  EXPECT_EQ(router.stats().corrections, 1);
+  EXPECT_TRUE(Equivalent(*router.session(id).current_query(), target));
 
-    SessionRouter::Options sync_opts;
-    sync_opts.threads = 1;
-    SessionRouter sync_router(sync_opts);
-    QueryOracle sync_truth(target);
-    SessionRouter::SessionId sid = sync_router.Open(5, &sync_truth);
-    sync_router.SubmitLearn(sid);
-    sync_router.Drain();
-    EXPECT_EQ(SessionFingerprint(router.session(id)),
-              SessionFingerprint(sync_router.session(sid)))
-        << "corrected session diverged from the truthful run under "
-        << ToString(mode) << " resume";
+  SessionRouter::Options sync_opts;
+  sync_opts.threads = 1;
+  SessionRouter sync_router(sync_opts);
+  QueryOracle sync_truth(target);
+  SessionRouter::SessionId sid = sync_router.Open(5, &sync_truth);
+  sync_router.SubmitLearn(sid);
+  sync_router.Drain();
+  EXPECT_EQ(SessionFingerprint(router.session(id)),
+            SessionFingerprint(sync_router.session(sid)))
+      << "corrected session diverged from the truthful run";
 
-    // Corrections require a parked round: an idle session reports
-    // kNotAwaiting, a closed one kSessionClosed.
-    EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kNotAwaiting);
-    EXPECT_TRUE(router.Close(id));
-    EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kSessionClosed);
-  }
+  // Corrections require a parked round: an idle session reports
+  // kNotAwaiting, a closed one kSessionClosed.
+  EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kNotAwaiting);
+  EXPECT_TRUE(router.Close(id));
+  EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kSessionClosed);
 }
 
-TEST(ContinuationTest, SnapshotAndReplayResumesAreBitIdentical) {
-  // The three resume protocols must be observationally indistinguishable —
-  // same fingerprints, same question/round/cache counters — while their
-  // *replay* counters split exactly as advertised: fiber resume replays
-  // nothing (the parked frame consumes the answers in place), snapshot
-  // resume serves each answered question from the user-boundary replay
-  // stage once, full-prefix replay re-serves the whole prefix per resume.
+TEST(ContinuationTest, FiberResumeMatchesSynchronousAndReplaysNothing) {
+  // A learn + verify session resumed round by round must end
+  // observationally indistinguishable from a synchronous run over the
+  // same user — and, since each resume feeds the answers straight into
+  // the parked frame, without a single question re-served by a replay
+  // stage.
   Query target = SmallTarget(6, 13);
-  std::string fingerprints[3];
-  int64_t replayed[3] = {0, 0, 0};
-  int64_t answered_questions[3] = {0, 0, 0};
-  int64_t resumes[3] = {0, 0, 0};
-  ResumeMode modes[3] = {ResumeMode::kFiber, ResumeMode::kSnapshot,
-                         ResumeMode::kReplay};
-  for (int m = 0; m < 3; ++m) {
-    SessionRouter::Options opts;
-    opts.threads = 1;
-    opts.resume_mode = modes[m];
-    SessionRouter router(opts);
-    EXPECT_EQ(router.resume_mode(), modes[m]);
-    QueryOracle truth(target);
-    SessionRouter::SessionId id = router.OpenPending(6);
-    router.SubmitLearn(id);
-    router.SubmitVerify(id, target);
-    for (;;) {
-      router.Drain();
-      std::vector<PendingRound> rounds = router.PendingRounds();
-      if (rounds.empty()) break;
-      ASSERT_EQ(rounds.size(), 1u);
-      BitVec bits;
-      BitSpan span = bits.Prepare(rounds[0].questions.size());
-      truth.IsAnswerBatch(rounds[0].questions, span);
-      answered_questions[m] += static_cast<int64_t>(rounds[0].questions.size());
-      ++resumes[m];
-      ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
-                ProvideOutcome::kResumed);
-    }
-    fingerprints[m] = SessionFingerprint(router.session(id));
-    replayed[m] = router.stats().replayed_questions;
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  EXPECT_EQ(router.resume_mode(), ResumeMode::kFiber);
+  QueryOracle truth(target);
+  SessionRouter::SessionId id = router.OpenPending(6);
+  router.SubmitLearn(id);
+  router.SubmitVerify(id, target);
+  int64_t resumes = 0;
+  for (;;) {
+    router.Drain();
+    std::vector<PendingRound> rounds = router.PendingRounds();
+    if (rounds.empty()) break;
+    ASSERT_EQ(rounds.size(), 1u);
+    BitVec bits;
+    BitSpan span = bits.Prepare(rounds[0].questions.size());
+    truth.IsAnswerBatch(rounds[0].questions, span);
+    ++resumes;
+    ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
+              ProvideOutcome::kResumed);
   }
-  EXPECT_EQ(fingerprints[0], fingerprints[1])
-      << "fiber and snapshot resume diverged on the same answer stream";
-  EXPECT_EQ(fingerprints[1], fingerprints[2])
-      << "snapshot and replay resume diverged on the same answer stream";
-  EXPECT_EQ(answered_questions[0], answered_questions[1]);
-  EXPECT_EQ(answered_questions[1], answered_questions[2]);
-  EXPECT_EQ(resumes[0], resumes[1]);
-  EXPECT_EQ(resumes[1], resumes[2]);
-  // O(1) vs O(rounds) vs O(rounds²): fiber resume replays nothing at all;
-  // snapshot replays each answered question at most once (the final
-  // attempt's suffix can go unconsumed, hence ≤); full-prefix replay
-  // re-serves prefixes whose sum strictly dominates.
-  EXPECT_EQ(replayed[0], 0)
+  EXPECT_GT(resumes, 1) << "a multi-round session must resume repeatedly";
+  EXPECT_EQ(router.suspensions(id), resumes);
+  EXPECT_EQ(router.stats().replayed_questions, 0)
       << "fiber resume re-served questions despite the parked stack";
-  EXPECT_LE(replayed[1], answered_questions[1]);
-  EXPECT_GT(replayed[2], replayed[1])
-      << "full-prefix replay should replay strictly more than snapshot "
-         "resume on a multi-round session";
+
+  SessionRouter sync_router(opts);
+  QueryOracle sync_truth(target);
+  SessionRouter::SessionId sid = sync_router.Open(6, &sync_truth);
+  sync_router.SubmitLearn(sid);
+  sync_router.SubmitVerify(sid, target);
+  sync_router.Drain();
+  EXPECT_EQ(SessionFingerprint(router.session(id)),
+            SessionFingerprint(sync_router.session(sid)))
+      << "resumed session diverged from the synchronous run";
 }
 
 TEST(ContinuationTest, AwaitingSessionReportsItsSnapshotBytes) {
-  // A parked session under snapshot resume holds its suspension snapshot;
-  // the service surfaces that residency so operators can budget memory.
+  // A parked session holds its live stack; the service surfaces that
+  // residency (the stack's mapped size after the cold trim) so operators
+  // can budget memory — and drops it once the session stops awaiting.
+  const Query target = SmallTarget(5, 97);
   SessionRouter::Options opts;
   opts.threads = 1;
-  opts.resume_mode = ResumeMode::kSnapshot;
   SessionRouter router(opts);
   SessionRouter::SessionId id = router.OpenPending(5);
   router.SubmitLearn(id);
@@ -644,31 +656,14 @@ TEST(ContinuationTest, AwaitingSessionReportsItsSnapshotBytes) {
   ServiceStats stats = router.stats();
   EXPECT_EQ(stats.awaiting_sessions, 1);
   EXPECT_GT(stats.snapshot_bytes, 0)
-      << "a suspended session must account for its parked snapshot";
+      << "a parked fiber must account for its stack";
 
-  // Replay mode keeps no snapshot — the memory column must read zero.
-  SessionRouter::Options ropts;
-  ropts.threads = 1;
-  ropts.resume_mode = ResumeMode::kReplay;
-  SessionRouter replay_router(ropts);
-  SessionRouter::SessionId rid = replay_router.OpenPending(5);
-  replay_router.SubmitLearn(rid);
-  replay_router.Drain();
-  ASSERT_EQ(replay_router.status(rid), SessionStatus::kAwaitingUser);
-  EXPECT_EQ(replay_router.stats().snapshot_bytes, 0);
-
-  // Fiber mode parks a live stack; its mapped size is the session's
-  // memory residency and must show up in the same column.
-  SessionRouter::Options fopts;
-  fopts.threads = 1;
-  fopts.resume_mode = ResumeMode::kFiber;
-  SessionRouter fiber_router(fopts);
-  SessionRouter::SessionId fid = fiber_router.OpenPending(5);
-  fiber_router.SubmitLearn(fid);
-  fiber_router.Drain();
-  ASSERT_EQ(fiber_router.status(fid), SessionStatus::kAwaitingUser);
-  EXPECT_GT(fiber_router.stats().snapshot_bytes, 0)
-      << "a parked fiber must account for its mapped stack";
+  QueryOracle truth(target);
+  AnswerAllPending(router, {{id, &truth}});
+  ASSERT_EQ(router.status(id), SessionStatus::kIdle);
+  stats = router.stats();
+  EXPECT_EQ(stats.awaiting_sessions, 0);
+  EXPECT_EQ(stats.snapshot_bytes, 0);
 }
 
 TEST(ContinuationEdgeTest, CorrectAndRelearnIsRefusedInContinuationMode) {

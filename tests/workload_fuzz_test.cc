@@ -74,41 +74,25 @@ TEST(WorkloadFuzzTest, SeedRangeParsing) {
   EXPECT_EQ(ParseSeedRange("1337:0").count, 1u);
 }
 
-TEST(WorkloadFuzzTest, SnapshotAndReplayResumeArmsAreBitIdentical) {
-  // The resume-protocol differential, run explicitly on both protocols
-  // (the big sweep below draws the mode per seed; this pins seed-for-seed
-  // that snapshot resume and the retired full-prefix replay produce
-  // bit-identical fingerprints under the same hostile delivery, and both
-  // match the synchronous reference). Also pins the accounting split the
-  // protocols exist for: replay's user-boundary re-serving dominates
-  // snapshot's.
-  int64_t snapshot_replayed = 0;
-  int64_t replay_replayed = 0;
+TEST(WorkloadFuzzTest, HostileArmsReplayNothing) {
+  // The resume protocol under hostile delivery, pinned seed for seed:
+  // shuffled, partial, duplicated and malformed replies still resume each
+  // session by continuing its parked frame, so the hostile arm matches
+  // the synchronous reference without a single question re-served by a
+  // replay stage (fleets issue no corrections, the only restart path).
   for (uint64_t seed : {3u, 11u, 29u, 41u, 57u}) {
     WorkloadSpec spec = WorkloadSpec::FromSeed(seed);
     Fleet fleet = GenerateFleet(spec);
     FleetDriver driver(fleet);
-    FleetResult snapshot = driver.RunPending(0, ResumeMode::kSnapshot);
-    FleetResult replay = driver.RunPending(0, ResumeMode::kReplay);
+    FleetResult hostile = driver.RunPending();
     FleetResult synchronous = driver.RunSynchronous();
-    ASSERT_TRUE(snapshot.ok) << snapshot.failure;
-    ASSERT_TRUE(replay.ok) << replay.failure;
+    ASSERT_TRUE(hostile.ok) << hostile.failure;
     ASSERT_TRUE(synchronous.ok) << synchronous.failure;
-    for (size_t i = 0; i < fleet.sessions.size(); ++i) {
-      ASSERT_EQ(snapshot.fingerprints[i], replay.fingerprints[i])
-          << "resume protocols diverged on session " << i << " ("
-          << spec.ReproLine() << ")";
-    }
-    ASSERT_EQ(CompareArmFingerprints(fleet, snapshot, synchronous),
+    ASSERT_EQ(CompareArmFingerprints(fleet, hostile, synchronous),
               std::string());
-    ASSERT_EQ(CompareArmFingerprints(fleet, replay, synchronous),
-              std::string());
-    snapshot_replayed += snapshot.stats.replayed_questions;
-    replay_replayed += replay.stats.replayed_questions;
+    EXPECT_GT(hostile.stats.suspensions, 0) << spec.ReproLine();
+    EXPECT_EQ(hostile.stats.replayed_questions, 0) << spec.ReproLine();
   }
-  EXPECT_GT(replay_replayed, snapshot_replayed)
-      << "full-prefix replay must re-serve strictly more than snapshot "
-         "resume across the sample fleets";
 }
 
 TEST(WorkloadFuzzTest, ShardedHostileArmsAreBitIdenticalAcrossShardCounts) {
@@ -125,8 +109,7 @@ TEST(WorkloadFuzzTest, ShardedHostileArmsAreBitIdenticalAcrossShardCounts) {
     FleetResult synchronous = driver.RunSynchronous();
     ASSERT_TRUE(synchronous.ok) << synchronous.failure;
     for (int shards : {1, 2, 8}) {
-      FleetResult hostile =
-          driver.RunPending(0, ResumeMode::kDefault, shards);
+      FleetResult hostile = driver.RunPending(0, shards);
       ASSERT_TRUE(hostile.ok)
           << hostile.failure << " (shards=" << shards << ")";
       ASSERT_EQ(CompareArmFingerprints(fleet, hostile, synchronous),

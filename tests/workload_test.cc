@@ -62,6 +62,32 @@ TEST(WorkloadGeneratorTest, FromSeedIsDeterministicAndSeedSensitive) {
   EXPECT_TRUE(any_differ);
 }
 
+TEST(WorkloadGeneratorTest, FromSeedKeepsItsRecordedServiceKnobs) {
+  // FromSeed draws its service knobs last, in a fixed order. The retired
+  // replay_resume draw is still consumed, so the knobs drawn after it keep
+  // the values every existing fuzz seed was recorded with; dropping the
+  // draw would silently shift router_shards for every seed. Values
+  // recorded when replay_resume still selected a resume protocol (seed 2
+  // drew it).
+  struct Pinned {
+    uint64_t seed;
+    int lanes;
+    bool speculative_batching;
+    int router_shards;
+  };
+  const Pinned pinned[] = {
+      {1, 3, false, 4},    {2, 5, false, 4},   {7, 5, true, 4},
+      {42, 5, false, 2},   {1337, 2, false, 1}, {9001, 4, true, 8},
+  };
+  for (const Pinned& p : pinned) {
+    WorkloadSpec spec = WorkloadSpec::FromSeed(p.seed);
+    EXPECT_EQ(spec.lanes, p.lanes) << "seed " << p.seed;
+    EXPECT_EQ(spec.speculative_batching, p.speculative_batching)
+        << "seed " << p.seed;
+    EXPECT_EQ(spec.router_shards, p.router_shards) << "seed " << p.seed;
+  }
+}
+
 TEST(WorkloadGeneratorTest, SweptFleetsCoverEveryScenarioAxis) {
   std::set<QueryClass> classes;
   std::set<int> schema_sizes;

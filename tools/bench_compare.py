@@ -60,28 +60,12 @@ HEADLINE_PAIRS = [
     # committed reference machine's ratio.
     ("BM_OracleBatchParallel/4096/real_time", "BM_OracleBatchBatched/4096"),
     ("BM_ServiceThroughput/16/real_time", "BM_ServiceSequential/16/real_time"),
-    # Open-sessions-vs-lanes: 64 pending (suspend/replay) sessions vs the
+    # Open-sessions-vs-lanes: 64 pending (parked-fiber) sessions vs the
     # identical direct fleet on the same 4 lanes. The ratio is *below* 1x
     # by design — it prices the continuation machinery — and the gate only
     # guards it against regressing further.
     ("BM_ServiceOpenSessions/64/real_time",
      "BM_ServiceOpenSessionsDirect/64/real_time"),
-    # Resume-protocol pair: snapshot restore (O(rounds) questions re-served
-    # across a session's resumes) vs the retired full-prefix replay
-    # (O(rounds²)). Both run one session on one lane, so the ratio is
-    # machine-independent; it widens with depth, hence both arms. Not
-    # concurrency-dependent: a single lane is a single lane everywhere.
-    ("BM_SessionResumeSnapshot/8/real_time",
-     "BM_SessionResumeReplay/8/real_time"),
-    ("BM_SessionResumeSnapshot/64/real_time",
-     "BM_SessionResumeReplay/64/real_time"),
-    # The default protocol: fiber resume switches into the parked frame
-    # (O(1) compute per resume, nothing re-served) vs the same full-prefix
-    # replay baseline.
-    ("BM_SessionResumeFiber/8/real_time",
-     "BM_SessionResumeReplay/8/real_time"),
-    ("BM_SessionResumeFiber/64/real_time",
-     "BM_SessionResumeReplay/64/real_time"),
     # Canonical-form dedup: hashed CanonicalForm keys vs ToString() keys.
     ("BM_CanonicalDedup/64", "BM_CanonicalDedupLegacy/64"),
     # Router sharding: four driver threads hammering a mixed
