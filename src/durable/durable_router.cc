@@ -1,6 +1,7 @@
 #include "src/durable/durable_router.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -54,115 +55,70 @@ std::unique_ptr<DurableRouter> DurableRouter::Create(
   return router;
 }
 
-SessionLog* DurableRouter::ShardFor(SessionId external_id) {
-  return shards_[static_cast<size_t>(external_id) %
-                 static_cast<size_t>(options_.shards)]
+SessionLog* DurableRouter::ShardFor(SessionId id) {
+  return shards_[static_cast<size_t>(id) % static_cast<size_t>(options_.shards)]
       .get();
 }
 
 DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
-  SessionId external;
+  SessionId id;
   {
+    // Log before ack, under the assignment lock: the id is consumed only
+    // once its record is in the log. A crash after this append but before
+    // OpenPending returns re-creates a session whose id the caller never
+    // learned — an orphan that waits forever, which is the durable-service
+    // analogue of an abandoned session, not a correctness hole: nothing
+    // was acknowledged, so nothing is owed.
     MutexLock lock(&mutex_);
-    external = next_external_;
+    id = next_id_;
+    if (!ShardFor(id)->AppendSessionOpened(id, spec)) return 0;
+    ++next_id_;
   }
-  // Log before ack. A crash after this append but before OpenPending
-  // returns re-creates a session whose id the caller never learned — an
-  // orphan that waits forever, which is the durable-service analogue of
-  // an abandoned session, not a correctness hole: nothing was
-  // acknowledged, so nothing is owed.
-  if (!ShardFor(external)->AppendSessionOpened(external, spec)) return 0;
-  // Pin the session to the router shard matching its WAL shard: this
-  // session's commit hooks will append to WAL `external % shards` while
-  // holding router shard `external % shards`'s mutex — a 1:1 mapping, so
-  // two sessions contend on a router lock iff they share a WAL anyway.
-  SessionId internal = router_->OpenPendingOnShard(
-      static_cast<int>(external % options_.shards), spec.n);
-  SubmitSpecJobs(*router_, internal, spec);
-  MutexLock lock(&mutex_);
-  to_internal_.emplace(external, internal);
-  to_external_.emplace(internal, external);
-  ++next_external_;
-  return external;
+  // Router shard id % shards matches WAL shard id % shards: this session's
+  // commit hooks append to its WAL while holding its router shard's mutex
+  // — a 1:1 mapping, so two sessions contend on a router lock iff they
+  // share a WAL anyway.
+  const SessionId opened = router_->OpenPending(spec.n, id);
+  QHORN_CHECK_MSG(opened == id, "router refused durable session id " << id);
+  SubmitSpecJobs(*router_, id, spec);
+  return id;
 }
 
 ProvideOutcome DurableRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers) {
-  SessionId internal;
-  SessionLog* shard;
-  {
-    MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    if (it == to_internal_.end()) return ProvideOutcome::kUnknownSession;
-    internal = it->second;
-    shard = ShardFor(id);
-  }
+  SessionLog* shard = ShardFor(id);
   // The append runs inside the router's commit hook: after validation,
   // before mutation, atomic with the fold. Anything the log did not
-  // accept was never acknowledged and never happened in memory.
+  // accept was never acknowledged and never happened in memory. Unknown
+  // ids fail validation, so they are never logged.
   auto commit = [&]() -> bool {
     return shard->AppendRoundAnswered(id, round_id, answers);
   };
-  return router_->ProvideAnswers(internal, round_id, answers,
+  return router_->ProvideAnswers(id, round_id, answers,
                                  SessionRouter::CommitHook(commit));
 }
 
 bool DurableRouter::Close(SessionId id) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    if (it == to_internal_.end()) return false;
-    internal = it->second;
-  }
+  if (!router_->status(id).has_value()) return false;
   // Log before ack; a duplicate close record (append ok but the router
   // reports already-closed, or a caller retry after a sync failure) is
   // skipped idempotently by Recover.
   if (!ShardFor(id)->AppendSessionClosed(id)) return false;
-  return router_->Close(internal);
+  return router_->Close(id);
 }
 
 std::vector<PendingRound> DurableRouter::PendingRounds() {
-  std::vector<PendingRound> rounds = router_->PendingRounds();
-  {
-    MutexLock lock(&mutex_);
-    for (PendingRound& round : rounds) {
-      auto it = to_external_.find(round.session_id);
-      QHORN_CHECK_MSG(it != to_external_.end(),
-                      "pending round for unmapped session "
-                          << round.session_id);
-      round.session_id = it->second;
-    }
-  }
-  std::sort(rounds.begin(), rounds.end(),
-            [](const PendingRound& a, const PendingRound& b) {
-              return a.session_id < b.session_id;
-            });
-  return rounds;
+  return router_->PendingRounds();
 }
 
 void DurableRouter::Drain() { router_->Drain(); }
 
 std::optional<SessionStatus> DurableRouter::status(SessionId id) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    if (it == to_internal_.end()) return std::nullopt;
-    internal = it->second;
-  }
-  return router_->status(internal);
+  return router_->status(id);
 }
 
 QuerySession& DurableRouter::session(SessionId id) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    QHORN_CHECK_MSG(it != to_internal_.end(), "no durable session " << id);
-    internal = it->second;
-  }
-  return router_->session(internal);
+  return router_->session(id);
 }
 
 ServiceStats DurableRouter::stats() { return router_->stats(); }
@@ -280,17 +236,21 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   auto durable = std::unique_ptr<DurableRouter>(
       new DurableRouter(fs, log_dir, options));
   if (!durable->OpenLogs(error)) return nullptr;
-  for (const auto& [external, image] : images) {
-    SessionId internal = durable->router_->OpenPendingOnShard(
-        static_cast<int>(external % options.shards), image.spec.n);
-    SubmitSpecJobs(*durable->router_, internal, image.spec);
-    // Recovery is single-threaded, but the id maps are guarded members:
-    // take the (uncontended) lock so the annotations stay honest.
-    MutexLock lock(&durable->mutex_);
-    durable->to_internal_.emplace(external, internal);
-    durable->to_external_.emplace(internal, external);
-    durable->next_external_ = std::max(durable->next_external_, external + 1);
+  SessionId next_id = 1;
+  for (const auto& [id, image] : images) {
+    if (durable->router_->OpenPending(image.spec.n, id) != id) {
+      *error = "log opens invalid session id " + std::to_string(id);
+      return nullptr;
+    }
+    SubmitSpecJobs(*durable->router_, id, image.spec);
+    next_id = std::max(next_id, id + 1);
     ++report->sessions_recovered;
+  }
+  {
+    // Recovery is single-threaded, but next_id_ is a guarded member: take
+    // the (uncontended) lock so the annotations stay honest.
+    MutexLock lock(&durable->mutex_);
+    durable->next_id_ = next_id;
   }
 
   // Phase 4 — replay: feed the logged answers back through the ordinary
@@ -303,28 +263,22 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   for (;;) {
     durable->router_->Drain();
     bool progress = false;
-    for (const auto& [external, image] : images) {
-      size_t& next = fed[external];
+    for (const auto& [id, image] : images) {
+      size_t& next = fed[id];
       if (next >= image.rounds.size()) continue;
-      SessionId internal;
-      {
-        MutexLock lock(&durable->mutex_);
-        internal = durable->to_internal_.at(external);
-      }
-      std::optional<PendingRound> round =
-          durable->router_->pending_round(internal);
+      std::optional<PendingRound> round = durable->router_->pending_round(id);
       if (!round.has_value()) continue;  // checked after the fixpoint
       const std::vector<bool>& answers = image.rounds[next];
       if (round->round_id != static_cast<int64_t>(next)) {
         std::ostringstream os;
-        os << "session " << external << ": replay surfaced round "
+        os << "session " << id << ": replay surfaced round "
            << round->round_id << " where the log expects round " << next;
         *error = os.str();
         return nullptr;
       }
       if (round->questions.size() != answers.size()) {
         std::ostringstream os;
-        os << "session " << external << ": replay round " << next << " asks "
+        os << "session " << id << ": replay round " << next << " asks "
            << round->questions.size() << " question(s) but the log recorded "
            << answers.size() << " answer(s)";
         *error = os.str();
@@ -334,11 +288,11 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
       for (size_t q = 0; q < answers.size(); ++q) span.Set(q, answers[q]);
       // The three-argument overload: replay must not re-log what the log
       // just said.
-      ProvideOutcome out = durable->router_->ProvideAnswers(
-          internal, round->round_id, span);
+      ProvideOutcome out =
+          durable->router_->ProvideAnswers(id, round->round_id, span);
       if (out != ProvideOutcome::kResumed) {
         std::ostringstream os;
-        os << "session " << external << ": replay of round " << next
+        os << "session " << id << ": replay of round " << next
            << " was rejected (" << ToString(out) << ")";
         *error = os.str();
         return nullptr;
@@ -349,10 +303,10 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     }
     if (!progress) break;
   }
-  for (const auto& [external, image] : images) {
-    if (fed[external] < image.rounds.size()) {
+  for (const auto& [id, image] : images) {
+    if (fed[id] < image.rounds.size()) {
       std::ostringstream os;
-      os << "session " << external << ": log records round " << fed[external]
+      os << "session " << id << ": log records round " << fed[id]
          << " but the replayed session never asked it";
       *error = os.str();
       return nullptr;
@@ -361,14 +315,9 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
 
   // Phase 5 — re-close what the log says was closed (after replay, so a
   // session closed mid-round abandons the same round it abandoned then).
-  for (const auto& [external, image] : images) {
+  for (const auto& [id, image] : images) {
     if (!image.closed) continue;
-    SessionId internal;
-    {
-      MutexLock lock(&durable->mutex_);
-      internal = durable->to_internal_.at(external);
-    }
-    durable->router_->Close(internal);
+    durable->router_->Close(id);
     ++report->sessions_closed;
   }
   durable->router_->Drain();

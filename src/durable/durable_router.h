@@ -24,25 +24,27 @@
 // the crash harness (crash_harness.h) enforces differentially against a
 // synchronous reference arm.
 //
-// Session ids: the wrapper assigns its own ("external") ids and keeps
-// honoring them across recovery, remapping internally to whatever ids the
-// fresh post-crash router hands out. Users outlive server crashes; their
-// session handles must too.
+// Session ids: the wrapper assigns each session its id (1, 2, … in open
+// order), logs it in SessionOpened, and opens the router session under
+// that same id; recovery reopens every logged session under its logged
+// id. One id space from the log down to the router shard: users outlive
+// server crashes, and their session handles do too. Assignment holds the
+// wrapper's mutex across the SessionOpened append, so two concurrent
+// opens never log one id and a refused append consumes none; opens
+// serialize on that append, answers and closes never touch the mutex.
 //
-// The log is sharded (shard = id mod shards) so concurrent sessions do
-// not serialize on one append mutex; a session's records stay in one
-// shard, totally ordered by round id, so recovery never needs an order
-// across shards.
+// The log is sharded (shard = id mod shards) so concurrent sessions'
+// answers and closes do not serialize on one append mutex; a session's
+// records stay in one shard, totally ordered by round id, so recovery
+// never needs an order across shards.
 
 #ifndef QHORN_DURABLE_DURABLE_ROUTER_H_
 #define QHORN_DURABLE_DURABLE_ROUTER_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/durable/fs.h"
@@ -57,9 +59,9 @@ struct DurableRouterOptions {
   SessionRouter::Options router;
   SessionLogOptions log;  ///< kEveryAppend = full log-before-ack durability
   /// WAL shards *and* router shards: the in-memory service is a
-  /// ShardedRouter with the same count, each session pinned to the router
-  /// shard matching its WAL shard (id mod shards), so a commit hook on
-  /// one WAL only ever holds that one router shard's mutex.
+  /// ShardedRouter with the same count, and session id i lives on WAL
+  /// shard i mod shards and on router shard i mod shards, so a commit
+  /// hook on one WAL only ever holds that one router shard's mutex.
   int shards = 4;
 };
 
@@ -119,7 +121,7 @@ class DurableRouter {
   /// committed (retryable; recovery skips a duplicate close).
   bool Close(SessionId id);
 
-  /// Pending rounds carrying external ids, ordered by them.
+  /// Pending rounds, ordered by session id.
   std::vector<PendingRound> PendingRounds();
 
   void Drain();
@@ -138,7 +140,7 @@ class DurableRouter {
   DurableRouter(Fs* fs, std::string log_dir, DurableRouterOptions options);
 
   bool OpenLogs(std::string* error);
-  SessionLog* ShardFor(SessionId external_id);
+  SessionLog* ShardFor(SessionId id);
 
   Fs* fs_;
   std::string log_dir_;
@@ -146,15 +148,10 @@ class DurableRouter {
   std::unique_ptr<ShardedRouter> router_;
   std::vector<std::unique_ptr<SessionLog>> shards_;
 
-  // Guards the id maps and next_external_. Always released before calling
-  // into router_ — but its rank (kDurableRouter) sits below kRouterShard,
-  // so even holding it across such a call would respect the lock order.
-  mutable Mutex mutex_{"durable-router", LockRank::kDurableRouter};
-  std::unordered_map<SessionId, SessionId> to_internal_
-      QHORN_GUARDED_BY(mutex_);
-  std::unordered_map<SessionId, SessionId> to_external_
-      QHORN_GUARDED_BY(mutex_);
-  SessionId next_external_ QHORN_GUARDED_BY(mutex_) = 1;
+  // Guards id assignment only: held across the SessionOpened append (rank
+  // kDurableRouter < kWalShard), released before calling into router_.
+  Mutex mutex_{"durable-router", LockRank::kDurableRouter};
+  SessionId next_id_ QHORN_GUARDED_BY(mutex_) = 1;
 };
 
 }  // namespace qhorn

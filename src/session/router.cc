@@ -15,44 +15,32 @@ std::shared_ptr<const CompiledQuery> CompiledQueryCache::Get(
   Key key;
   key.require_guarantees = opts.require_guarantees;
   key.form = CanonicalizeForEvaluation(query, opts);
-  key.form.Hash();  // fill the cached hash before sharing the key
-
-  Stripe& stripe = StripeFor(KeyHash{}(key));
   {
-    ReaderLock lock(&stripe.mutex);
-    auto it = stripe.map.find(key);
-    if (it != stripe.map.end()) {
-      stripe.hits.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(&mutex_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      ++hits_;
       return it->second;
     }
+    ++misses_;
   }
-  stripe.misses.fetch_add(1, std::memory_order_relaxed);
-  // Compile outside any lock so concurrent opens compile distinct queries
-  // in parallel and cache hits never stall behind a compile. Two threads
-  // racing on the same new key both compile (both counted as misses); the
-  // first insert wins and the loser's copy is dropped — compiles are
-  // idempotent µs-scale work, not worth a per-key latch.
+  // Compile outside the lock. Two threads racing on the same new key both
+  // compile (both counted as misses); the first insert wins and the
+  // loser's copy is dropped — compiles are idempotent µs-scale work, not
+  // worth a per-key latch.
   auto compiled = std::make_shared<const CompiledQuery>(query, opts);
-  WriterLock lock(&stripe.mutex);
-  auto [it, inserted] =
-      stripe.map.try_emplace(std::move(key), std::move(compiled));
-  return it->second;
+  MutexLock lock(&mutex_);
+  return map_.try_emplace(std::move(key), std::move(compiled)).first->second;
 }
 
 int64_t CompiledQueryCache::hits() const {
-  int64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    total += stripe.hits.load(std::memory_order_relaxed);
-  }
-  return total;
+  MutexLock lock(&mutex_);
+  return hits_;
 }
 
 int64_t CompiledQueryCache::misses() const {
-  int64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    total += stripe.misses.load(std::memory_order_relaxed);
-  }
-  return total;
+  MutexLock lock(&mutex_);
+  return misses_;
 }
 
 const char* ToString(ProvideOutcome o) {
@@ -151,40 +139,43 @@ void SessionRouter::UnwindFiber(SessionState* state) {
   state->fiber_cancel = false;
 }
 
-SessionRouter::SessionId SessionRouter::OpenInternal(
-    int n, MembershipOracle* user,
+SessionRouter::SessionId SessionRouter::AddSession(
+    SessionId id, int n, MembershipOracle* user,
     std::unique_ptr<MembershipOracle> owned_backend,
     PendingOracle* pending_backend) {
+  if (id < 0) return 0;
   auto state = std::make_unique<SessionState>();
   state->session = std::make_unique<QuerySession>(n, user, options_.session);
   state->owned_backend = std::move(owned_backend);
   state->pending_backend = pending_backend;
   MutexLock lock(&mutex_);
-  SessionId id = next_id_++;
-  sessions_.emplace(id, std::move(state));
+  if (id == 0) id = next_id_++;
+  if (!sessions_.try_emplace(id, std::move(state)).second) return 0;
   return id;
 }
 
-SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user) {
+SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user,
+                                             SessionId id) {
   QHORN_CHECK(user != nullptr);
-  return OpenInternal(n, user, nullptr, nullptr);
+  return AddSession(id, n, user, nullptr, nullptr);
 }
 
 SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
-                                                      EvalOptions opts) {
-  auto backend = std::make_unique<AsyncOracle>(
-      cache_->Get(intended, opts), exec_);
+                                                      EvalOptions opts,
+                                                      SessionId id) {
+  auto backend = std::make_unique<AsyncOracle>(cache_->Get(intended, opts));
   MembershipOracle* user = backend.get();
-  return OpenInternal(intended.n(), user, std::move(backend), nullptr);
+  return AddSession(id, intended.n(), user, std::move(backend), nullptr);
 }
 
-SessionRouter::SessionId SessionRouter::OpenPending(int n) {
+SessionRouter::SessionId SessionRouter::OpenPending(int n, SessionId id) {
   auto backend = std::make_unique<PendingOracle>();
   PendingOracle* pending = backend.get();
-  SessionId id = OpenInternal(n, pending, std::move(backend), pending);
+  id = AddSession(id, n, pending, std::move(backend), pending);
   // Safe after the fact: the caller cannot Submit before OpenPending
-  // returns, so no round can suspend carrying the unset id.
-  pending->set_session_id(id);
+  // returns, so no round can suspend carrying the unset id. A refused open
+  // already destroyed the backend.
+  if (id != 0) pending->set_session_id(id);
   return id;
 }
 
@@ -212,10 +203,10 @@ void SessionRouter::CompleteJob(JobKind kind) {
 }
 
 bool SessionRouter::Submit(SessionId id, Job job) {
-  return SubmitInternal(id, std::move(job), JobKind::kOther);
+  return SubmitJob(id, std::move(job), JobKind::kOther);
 }
 
-bool SessionRouter::SubmitInternal(SessionId id, Job job, JobKind kind) {
+bool SessionRouter::SubmitJob(SessionId id, Job job, JobKind kind) {
   QHORN_CHECK(job != nullptr);
   SessionState* state = nullptr;
   bool start_runner = false;
@@ -447,12 +438,12 @@ void SessionRouter::RunPendingSession(SessionState* state) {
 }
 
 bool SessionRouter::SubmitLearn(SessionId id) {
-  return SubmitInternal(
+  return SubmitJob(
       id, [](QuerySession& session) { session.Learn(); }, JobKind::kLearn);
 }
 
 bool SessionRouter::SubmitVerify(SessionId id, Query candidate) {
-  return SubmitInternal(
+  return SubmitJob(
       id,
       [candidate = std::move(candidate)](QuerySession& session) {
         session.Verify(candidate);
@@ -461,7 +452,7 @@ bool SessionRouter::SubmitVerify(SessionId id, Query candidate) {
 }
 
 bool SessionRouter::SubmitRevise(SessionId id, Query candidate) {
-  return SubmitInternal(
+  return SubmitJob(
       id,
       [candidate = std::move(candidate)](QuerySession& session) {
         session.Revise(candidate);
@@ -507,19 +498,18 @@ std::vector<PendingRound> SessionRouter::PendingRounds() {
 
 ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers) {
-  return ProvideAnswersInternal(id, round_id, answers, nullptr);
+  return AcceptAnswers(id, round_id, answers, nullptr);
 }
 
 ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers,
                                              CommitHook commit) {
-  return ProvideAnswersInternal(id, round_id, answers, &commit);
+  return AcceptAnswers(id, round_id, answers, &commit);
 }
 
-ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
-                                                     int64_t round_id,
-                                                     BitSpan answers,
-                                                     CommitHook* commit) {
+ProvideOutcome SessionRouter::AcceptAnswers(SessionId id, int64_t round_id,
+                                            BitSpan answers,
+                                            CommitHook* commit) {
   SessionState* state = nullptr;
   {
     MutexLock lock(&mutex_);

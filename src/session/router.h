@@ -13,8 +13,8 @@
 //   * Simulated users opened through OpenSimulated share compiled queries
 //     via a cache keyed by canonical form (Proposition 4.1: equal forms ⇒
 //     identical answers), so a thousand sessions against a hundred target
-//     queries compile each query once — and their AsyncOracle backends
-//     additionally shard large rounds across the same executor.
+//     queries compile each query once. Their AsyncOracle backends evaluate
+//     each round inline on the session's lane.
 //
 // Pending-round continuations (OpenPending): a *real* user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
@@ -59,7 +59,6 @@
 #ifndef QHORN_SESSION_ROUTER_H_
 #define QHORN_SESSION_ROUTER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -84,16 +83,11 @@ namespace qhorn {
 /// Shared compiled-query store. Keyed by (canonical form, guarantee mode):
 /// equal keys evaluate identically object for object, so sessions sharing
 /// an entry are indistinguishable from sessions compiling their own.
-/// Thread-safe; the returned compiled forms are immutable.
-///
-/// Striped read-mostly layout: the key hash picks one of kStripes
-/// independent (shared_mutex, map) pairs, so a hit takes only a shared
-/// lock on 1/kStripes of the keyspace — concurrent hits on different
-/// stripes never touch the same cache line, concurrent hits on the same
-/// stripe share the reader lock, and only a first-time compile of a key
-/// briefly writes its own stripe. Sessions across every router shard
-/// share one instance (a query compiled once is compiled once service-
-/// wide); the hit/miss counters are relaxed atomics folded on read.
+/// Thread-safe; the returned compiled forms are immutable. Sessions across
+/// every router shard share one instance (a query compiled once is
+/// compiled once service-wide). One leaf mutex guards the map and the
+/// counters: Get runs once per OpenSimulated, on the opening thread, and
+/// compiles outside the lock.
 class CompiledQueryCache {
  public:
   std::shared_ptr<const CompiledQuery> Get(const Query& query,
@@ -117,27 +111,11 @@ class CompiledQueryCache {
     }
   };
 
-  static constexpr size_t kStripes = 16;  // power of two; see StripeFor
-
-  struct alignas(64) Stripe {
-    // A stripe is a leaf lock (LockRank::kCacheStripe): compiles happen
-    // outside it, so nothing is ever acquired while it is held.
-    mutable SharedMutex mutex{"cache-stripe", LockRank::kCacheStripe};
-    std::unordered_map<Key, std::shared_ptr<const CompiledQuery>, KeyHash> map
-        QHORN_GUARDED_BY(mutex);
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-  };
-
-  /// Remix the (already cached) key hash and take the top bits: the map
-  /// inside the stripe consumes the low bits, so stripe choice and bucket
-  /// choice stay independent.
-  Stripe& StripeFor(size_t hash) {
-    static_assert(kStripes == 16, "the >> 60 below selects log2(16) bits");
-    return stripes_[(hash * 0x9e3779b97f4a7c15ULL) >> 60];
-  }
-
-  std::array<Stripe, kStripes> stripes_;
+  mutable Mutex mutex_{"compiled-cache", LockRank::kCompiledCache};
+  std::unordered_map<Key, std::shared_ptr<const CompiledQuery>, KeyHash> map_
+      QHORN_GUARDED_BY(mutex_);
+  int64_t hits_ QHORN_GUARDED_BY(mutex_) = 0;
+  int64_t misses_ QHORN_GUARDED_BY(mutex_) = 0;
 };
 
 /// Aggregate service counters across every session the router has hosted.
@@ -240,23 +218,28 @@ class SessionRouter {
   SessionRouter(const SessionRouter&) = delete;
   SessionRouter& operator=(const SessionRouter&) = delete;
 
+  // Every open takes an optional `id`. 0 assigns the next id (1, 2, … in
+  // open order). A positive id opens the session under that id — how the
+  // layers above store a session under the id they assigned — and the
+  // open returns 0 (opening nothing) if the id is taken or negative. A
+  // caller that assigns ids assigns all of them.
+
   /// Opens a session over a caller-owned user oracle. The oracle must
   /// outlive the router and is used only from this session's jobs (one at
   /// a time), so it need not be thread-safe — but it must not be shared
   /// with another session.
-  SessionId Open(int n, MembershipOracle* user);
+  SessionId Open(int n, MembershipOracle* user, SessionId id = 0);
 
   /// Opens a session against a simulated user holding `intended`: the
-  /// compiled form comes from the shared cache and rounds are sharded
-  /// across the router's executor (AsyncOracle backend). The router owns
-  /// the backend.
+  /// compiled form comes from the shared cache (AsyncOracle backend). The
+  /// router owns the backend.
   SessionId OpenSimulated(const Query& intended,
-                          EvalOptions opts = EvalOptions());
+                          EvalOptions opts = EvalOptions(), SessionId id = 0);
 
   /// Opens a session over a *pending* (real, asynchronous) user: every
   /// round suspends the job and surfaces through PendingRounds() until
   /// ProvideAnswers feeds the labels back. The router owns the backend.
-  SessionId OpenPending(int n);
+  SessionId OpenPending(int n, SessionId id = 0);
 
   /// Enqueues a job for the session. Jobs of one session run in
   /// submission order; jobs of different sessions run concurrently.
@@ -445,14 +428,16 @@ class SessionRouter {
     std::atomic<int64_t> retired_round{-1};
   };
 
-  SessionId OpenInternal(int n, MembershipOracle* user,
-                         std::unique_ptr<MembershipOracle> owned_backend,
-                         PendingOracle* pending_backend);
-  bool SubmitInternal(SessionId id, Job job, JobKind kind);
+  /// Stores a new session under `id` (0: the next id). Returns the id, or
+  /// 0 when a caller-chosen id is taken or negative.
+  SessionId AddSession(SessionId id, int n, MembershipOracle* user,
+                       std::unique_ptr<MembershipOracle> owned_backend,
+                       PendingOracle* pending_backend);
+  bool SubmitJob(SessionId id, Job job, JobKind kind);
   /// Shared body of both ProvideAnswers overloads; `commit` null means
   /// commit unconditionally (FunctionRef itself is non-nullable).
-  ProvideOutcome ProvideAnswersInternal(SessionId id, int64_t round_id,
-                                        BitSpan answers, CommitHook* commit);
+  ProvideOutcome AcceptAnswers(SessionId id, int64_t round_id,
+                               BitSpan answers, CommitHook* commit);
   /// Executor task: runs a direct session's queued jobs until the queue is
   /// empty, then releases ownership.
   void RunSession(SessionState* state);
@@ -494,7 +479,7 @@ class SessionRouter {
   // exceptions) and the service counters. One per shard; a DurableRouter
   // commit hook runs while exactly one of these is held
   // (LockRank::kRouterShard — the rank checker asserts the invariant in
-  // ProvideAnswersInternal).
+  // AcceptAnswers).
   Mutex mutex_{"router-shard", LockRank::kRouterShard};
   CondVar idle_cv_;
   // The pending-round drain: suspending runners publish here (one push per

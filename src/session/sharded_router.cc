@@ -1,6 +1,7 @@
 #include "src/session/sharded_router.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/util/check.h"
@@ -38,67 +39,54 @@ ShardedRouter::~ShardedRouter() {
 }
 
 ShardedRouter::SessionId ShardedRouter::Open(int n, MembershipOracle* user) {
-  const int shard = NextShard();
-  return Encode(shards_[static_cast<size_t>(shard)]->Open(n, user), shard);
+  const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  return Route(id)->Open(n, user, id);
 }
 
 ShardedRouter::SessionId ShardedRouter::OpenSimulated(const Query& intended,
                                                       EvalOptions opts) {
-  const int shard = NextShard();
-  return Encode(
-      shards_[static_cast<size_t>(shard)]->OpenSimulated(intended, opts),
-      shard);
+  const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  return Route(id)->OpenSimulated(intended, opts, id);
 }
 
-ShardedRouter::SessionId ShardedRouter::OpenPending(int n) {
-  return OpenPendingOnShard(NextShard(), n);
+ShardedRouter::SessionId ShardedRouter::OpenPending(int n, SessionId id) {
+  if (id < 0) return 0;
+  if (id == 0) id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  return Route(id)->OpenPending(n, id);
 }
 
-ShardedRouter::SessionId ShardedRouter::OpenPendingOnShard(int shard, int n) {
-  QHORN_CHECK_MSG(shard >= 0 && shard < shards(),
-                  "shard " << shard << " out of range");
-  return Encode(shards_[static_cast<size_t>(shard)]->OpenPending(n), shard);
-}
-
-SessionRouter* ShardedRouter::Route(SessionId external) {
-  if (external <= 0) return nullptr;
-  const SessionId internal = Internal(external);
-  if (internal <= 0) return nullptr;
-  return shards_[static_cast<size_t>(ShardOf(external))].get();
+SessionRouter* ShardedRouter::Route(SessionId id) {
+  if (id <= 0) return nullptr;
+  return shards_[static_cast<size_t>(ShardOf(id))].get();
 }
 
 bool ShardedRouter::Submit(SessionId id, Job job) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr && shard->Submit(Internal(id), std::move(job));
+  return shard != nullptr && shard->Submit(id, std::move(job));
 }
 
 bool ShardedRouter::SubmitLearn(SessionId id) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr && shard->SubmitLearn(Internal(id));
+  return shard != nullptr && shard->SubmitLearn(id);
 }
 
 bool ShardedRouter::SubmitVerify(SessionId id, Query candidate) {
   SessionRouter* shard = Route(id);
   return shard != nullptr &&
-         shard->SubmitVerify(Internal(id), std::move(candidate));
+         shard->SubmitVerify(id, std::move(candidate));
 }
 
 bool ShardedRouter::SubmitRevise(SessionId id, Query candidate) {
   SessionRouter* shard = Route(id);
   return shard != nullptr &&
-         shard->SubmitRevise(Internal(id), std::move(candidate));
+         shard->SubmitRevise(id, std::move(candidate));
 }
 
 std::vector<PendingRound> ShardedRouter::PendingRounds() {
   std::vector<PendingRound> rounds;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::vector<PendingRound> batch = shards_[i]->PendingRounds();
-    for (PendingRound& round : batch) {
-      // Shards stamp rounds with their own (internal) ids; the facade
-      // speaks external ids everywhere.
-      round.session_id = Encode(round.session_id, static_cast<int>(i));
-      rounds.push_back(std::move(round));
-    }
+  for (auto& shard : shards_) {
+    std::vector<PendingRound> batch = shard->PendingRounds();
+    std::move(batch.begin(), batch.end(), std::back_inserter(rounds));
   }
   std::sort(rounds.begin(), rounds.end(),
             [](const PendingRound& a, const PendingRound& b) {
@@ -111,7 +99,7 @@ ProvideOutcome ShardedRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return ProvideOutcome::kUnknownSession;
-  return shard->ProvideAnswers(Internal(id), round_id, answers);
+  return shard->ProvideAnswers(id, round_id, answers);
 }
 
 ProvideOutcome ShardedRouter::ProvideAnswers(SessionId id, int64_t round_id,
@@ -119,37 +107,35 @@ ProvideOutcome ShardedRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              CommitHook commit) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return ProvideOutcome::kUnknownSession;
-  return shard->ProvideAnswers(Internal(id), round_id, answers, commit);
+  return shard->ProvideAnswers(id, round_id, answers, commit);
 }
 
 ProvideOutcome ShardedRouter::CorrectAnswer(SessionId id, size_t entry_index) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return ProvideOutcome::kUnknownSession;
-  return shard->CorrectAnswer(Internal(id), entry_index);
+  return shard->CorrectAnswer(id, entry_index);
 }
 
 std::optional<PendingRound> ShardedRouter::pending_round(SessionId id) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return std::nullopt;
-  std::optional<PendingRound> round = shard->pending_round(Internal(id));
-  if (round.has_value()) round->session_id = id;  // external id form
-  return round;
+  return shard->pending_round(id);
 }
 
 bool ShardedRouter::Close(SessionId id) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr && shard->Close(Internal(id));
+  return shard != nullptr && shard->Close(id);
 }
 
 std::optional<SessionStatus> ShardedRouter::status(SessionId id) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return std::nullopt;
-  return shard->status(Internal(id));
+  return shard->status(id);
 }
 
 int64_t ShardedRouter::suspensions(SessionId id) {
   SessionRouter* shard = Route(id);
-  return shard == nullptr ? -1 : shard->suspensions(Internal(id));
+  return shard == nullptr ? -1 : shard->suspensions(id);
 }
 
 void ShardedRouter::Drain() {
@@ -159,7 +145,7 @@ void ShardedRouter::Drain() {
 QuerySession& ShardedRouter::session(SessionId id) {
   SessionRouter* shard = Route(id);
   QHORN_CHECK_MSG(shard != nullptr, "no session " << id);
-  return shard->session(Internal(id));
+  return shard->session(id);
 }
 
 ServiceStats ShardedRouter::stats() {

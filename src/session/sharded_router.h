@@ -11,26 +11,24 @@
 //     its runner tasks to the same work-stealing pool (Options.threads is
 //     the TOTAL lane count, not per-shard).
 //   * one CompiledQueryCache: a query compiled once is compiled once
-//     service-wide. The cache is striped internally, so sharing it does
-//     not reintroduce the lock the shards just removed.
+//     service-wide. Only OpenSimulated touches it, once per open.
 //
-// Session ids are encoded so the facade is stateless about placement:
-//
-//     external = internal * shards + shard_index
-//
-// ShardOf() is a modulo, the shard's own id comes back from a division,
-// and — the property the differential suites pin — at shards == 1 the
-// encoding is the identity, so a 1-shard facade is bit-identical to a bare
-// SessionRouter (same ids, same rounds, same stats). DurableRouter maps
-// its per-WAL shards 1:1 onto router shards via OpenPendingOnShard, so a
-// durable commit on one WAL contends only with its own router shard.
+// One id space: the facade assigns each session its id (1, 2, … in open
+// order, from one atomic counter), places id i on shard i % shards, and
+// that shard stores the session under the same id i. Nothing is
+// translated on the way down or back up, so at shards == 1 the facade is
+// bit-identical to a bare SessionRouter (same ids, same rounds, same
+// stats). A caller that assigns ids itself passes them to OpenPending:
+// DurableRouter logs id i to WAL shard i % shards and opens it on router
+// shard i % shards, so a durable commit on one WAL contends only with its
+// own router shard.
 //
 // Determinism contract (inherited): a session's observable history depends
 // only on its own job and answer sequence, never on which shard hosts it
 // or how many shards exist. The facade adds no cross-shard coordination —
 // Drain() drains shard by shard (jobs never create work on another
-// shard), PendingRounds() concatenates per-shard lock-free drains, and
-// stats() sums.
+// shard), PendingRounds() merges per-shard lock-free drains, and stats()
+// sums.
 //
 // Scaling model: throughput ≈ min(lanes, shards × per-shard capacity).
 // Shards bound protocol-call parallelism (mutex acquisitions spread
@@ -38,14 +36,14 @@
 // bounded by memory alone (a parked session holds no lane on any shard).
 //
 // Lock order (enforced at runtime by the rank checker, src/util/
-// lock_ranks.h): the facade itself holds no mutex — placement is one
+// lock_ranks.h): the facade itself holds no mutex — id assignment is one
 // atomic counter — so the order through this layer is exactly one
-// shard's: DurableRouter (kDurableRouter) → that shard's SessionRouter
-// (kRouterShard) → its WAL shard (kWalShard) → the filesystem (kFaultFs/
-// kFs). Same-rank nesting is forbidden, so no call path may hold two
-// shard mutexes at once — cross-shard deadlock is structurally
-// impossible, and a DurableRouter commit hook runs under exactly one
-// shard mutex (asserted in SessionRouter::ProvideAnswersInternal).
+// shard's: that shard's SessionRouter (kRouterShard) → its WAL shard
+// (kWalShard) → the filesystem (kFaultFs/kFs). Same-rank nesting is
+// forbidden, so no call path may hold two shard mutexes at once —
+// cross-shard deadlock is structurally impossible, and a DurableRouter
+// commit hook runs under exactly one shard mutex (asserted in
+// SessionRouter::AcceptAnswers).
 
 #ifndef QHORN_SESSION_SHARDED_ROUTER_H_
 #define QHORN_SESSION_SHARDED_ROUTER_H_
@@ -71,8 +69,8 @@ class ShardedRouter {
 
   struct Options {
     /// Router shards. 1 is the differential baseline (bit-identical to a
-    /// bare SessionRouter, identity id encoding); production wants a
-    /// small multiple of the lane count.
+    /// bare SessionRouter, ids included); production wants a small
+    /// multiple of the lane count.
     int shards = 4;
     /// TOTAL concurrent session lanes across all shards; ≤ 0 means
     /// Executor::DefaultConcurrency() (honours QHORN_THREADS). 1 degrades
@@ -92,26 +90,25 @@ class ShardedRouter {
   ShardedRouter(const ShardedRouter&) = delete;
   ShardedRouter& operator=(const ShardedRouter&) = delete;
 
-  /// Session opens place round-robin across shards (placement does not
-  /// affect observables; round-robin keeps shards balanced without
-  /// coordination beyond one atomic counter).
+  /// Opens assign the next id and place the session on shard
+  /// id % shards (placement does not affect observables; consecutive ids
+  /// keep shards balanced).
   SessionId Open(int n, MembershipOracle* user);
   SessionId OpenSimulated(const Query& intended,
                           EvalOptions opts = EvalOptions());
-  SessionId OpenPending(int n);
-
-  /// Pinned-placement open: the durable layer maps WAL shard i onto
-  /// router shard i so one WAL's commit hooks contend with exactly one
-  /// router mutex. `shard` must be in [0, shards()).
-  SessionId OpenPendingOnShard(int shard, int n);
+  /// A positive `id` opens the session under that caller-assigned id
+  /// instead (the durable layer's, already logged), on shard id % shards;
+  /// 0 is returned, and nothing opened, if the id is taken. A caller that
+  /// assigns ids assigns all of them: the facade's counter does not skip
+  /// ids it did not hand out.
+  SessionId OpenPending(int n, SessionId id = 0);
 
   bool Submit(SessionId id, Job job);
   bool SubmitLearn(SessionId id);
   bool SubmitVerify(SessionId id, Query candidate);
   bool SubmitRevise(SessionId id, Query candidate);
 
-  /// Concatenation of every shard's lock-free drain, session ids
-  /// re-encoded to external form, ordered by session id.
+  /// Every shard's lock-free drain, merged and ordered by session id.
   std::vector<PendingRound> PendingRounds();
 
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
@@ -120,7 +117,7 @@ class ShardedRouter {
                                 BitSpan answers, CommitHook commit);
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
-  /// The round the session is blocked on (external id form), if any.
+  /// The round the session is blocked on, if any.
   std::optional<PendingRound> pending_round(SessionId id);
 
   bool Close(SessionId id);
@@ -149,24 +146,13 @@ class ShardedRouter {
   CompiledQueryCache& compiled_cache() { return cache_; }
 
  private:
-  SessionId Encode(SessionId internal, int shard) const {
-    return internal * static_cast<SessionId>(shards_.size()) + shard;
-  }
-  SessionId Internal(SessionId external) const {
-    return external / static_cast<SessionId>(shards_.size());
-  }
-  /// The shard hosting `external`, or nullptr for ids no shard can host
-  /// (≤ 0, or an encoding whose internal part is below the first id).
-  SessionRouter* Route(SessionId external);
-  int NextShard() {
-    return static_cast<int>(next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                            shards_.size());
-  }
+  /// The shard hosting `id`, or nullptr for ids no open can return (≤ 0).
+  SessionRouter* Route(SessionId id);
 
   CompiledQueryCache cache_;
   std::unique_ptr<Executor> executor_;
   std::vector<std::unique_ptr<SessionRouter>> shards_;
-  std::atomic<uint64_t> next_shard_{0};
+  std::atomic<SessionId> next_id_{1};
 };
 
 }  // namespace qhorn

@@ -9,7 +9,7 @@
 //    methods), so under the `clangtsa` preset `-Wthread-safety
 //    -Werror=thread-safety` proves QHORN_GUARDED_BY fields are only
 //    touched under their mutex. Under gcc the attributes vanish and the
-//    types are thin wrappers over std::mutex / std::shared_mutex.
+//    types are thin wrappers over std::mutex.
 //
 //  * Run time (debug/sanitizer builds): every mutex is constructed with a
 //    name and a LockRank (src/util/lock_ranks.h). A thread-local
@@ -43,7 +43,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "src/util/lock_ranks.h"
 #include "src/util/thread_annotations.h"
@@ -138,46 +137,6 @@ class QHORN_CAPABILITY("mutex") Mutex {
   const LockRank rank_;
 };
 
-/// Annotated, rank-checked drop-in for std::shared_mutex. Shared
-/// acquisitions obey the same rank rules as exclusive ones — in
-/// particular a thread may not re-enter its own read lock (a second
-/// shared lock from one thread can deadlock against a queued writer).
-class QHORN_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex(const char* name, LockRank rank) : name_(name), rank_(rank) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() QHORN_ACQUIRE() {
-    LockRankChecker::NoteAcquire(this, name_, rank_);
-    mutex_.lock();
-  }
-
-  void Unlock() QHORN_RELEASE() {
-    LockRankChecker::NoteRelease(this, name_);
-    mutex_.unlock();
-  }
-
-  void LockShared() QHORN_ACQUIRE_SHARED() {
-    LockRankChecker::NoteAcquire(this, name_, rank_);
-    mutex_.lock_shared();
-  }
-
-  void UnlockShared() QHORN_RELEASE_SHARED() {
-    LockRankChecker::NoteRelease(this, name_);
-    mutex_.unlock_shared();
-  }
-
-  const char* name() const { return name_; }
-  LockRank rank() const { return rank_; }
-
- private:
-  std::shared_mutex mutex_;
-  const char* const name_;
-  const LockRank rank_;
-};
-
 /// RAII exclusive lock over Mutex (abseil MutexLock idiom: pointer
 /// argument, no unlock/relock surface).
 class QHORN_SCOPED_CAPABILITY MutexLock {
@@ -190,36 +149,6 @@ class QHORN_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-/// RAII exclusive lock over SharedMutex.
-class QHORN_SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex* mu) QHORN_ACQUIRE(mu) : mu_(mu) {
-    mu_->Lock();
-  }
-  ~WriterLock() QHORN_RELEASE() { mu_->Unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
-};
-
-/// RAII shared (reader) lock over SharedMutex.
-class QHORN_SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex* mu) QHORN_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->LockShared();
-  }
-  ~ReaderLock() QHORN_RELEASE() { mu_->UnlockShared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex* const mu_;
 };
 
 /// Condition variable bound to qhorn::Mutex. Wraps

@@ -92,10 +92,6 @@ void Executor::Post(std::function<void()> task) {
 
 bool Executor::HasPendingTask() {
   {
-    MutexLock lock(&helpers_.mutex);
-    if (!helpers_.tasks.empty()) return true;
-  }
-  {
     MutexLock lock(&injection_.mutex);
     if (!injection_.tasks.empty()) return true;
   }
@@ -106,38 +102,9 @@ bool Executor::HasPendingTask() {
   return false;
 }
 
-bool Executor::HasHelperTask() {
-  MutexLock lock(&helpers_.mutex);
-  return !helpers_.tasks.empty();
-}
-
-bool Executor::RunOneHelperTask() {
-  std::function<void()> task;
-  {
-    MutexLock lock(&helpers_.mutex);
-    if (helpers_.tasks.empty()) return false;
-    task = std::move(helpers_.tasks.front());
-    helpers_.tasks.pop_front();
-  }
-  RunTask(task);
-  { MutexLock lock(&sleep_mutex_); }
-  sleep_cv_.NotifyAll();
-  return true;
-}
-
 bool Executor::PopTask(int self_index, std::function<void()>* task) {
   if (queues_.empty()) return false;
-  // Shard helpers first: some lane is blocked in a ParallelFor until they
-  // retire, so they gate the pool's tail latency.
-  {
-    MutexLock lock(&helpers_.mutex);
-    if (!helpers_.tasks.empty()) {
-      *task = std::move(helpers_.tasks.front());
-      helpers_.tasks.pop_front();
-      return true;
-    }
-  }
-  // …then the own deque (LIFO: the task most likely still in cache)…
+  // The own deque first (LIFO: the task most likely still in cache)…
   if (self_index >= 0) {
     WorkerQueue* own = queues_[static_cast<size_t>(self_index)].get();
     MutexLock lock(&own->mutex);
@@ -176,10 +143,6 @@ bool Executor::RunOneTask(int self_index) {
   std::function<void()> task;
   if (!PopTask(self_index, &task)) return false;
   RunTask(task);
-  // Completion may unblock a ParallelFor waiter (they sleep on the same
-  // condition variable as idle workers).
-  { MutexLock lock(&sleep_mutex_); }
-  sleep_cv_.NotifyAll();
   return true;
 }
 
@@ -200,69 +163,6 @@ void Executor::WorkerLoop(int index) {
   }
   tls_executor = nullptr;
   tls_worker_index = -1;
-}
-
-void Executor::ParallelFor(size_t n, size_t grain,
-                           FunctionRef<void(size_t, size_t)> body) {
-  if (n == 0) return;
-  QHORN_CHECK(grain >= 1);
-  size_t lanes = static_cast<size_t>(concurrency_);
-  size_t shards = (n + grain - 1) / grain;
-  if (workers_.empty() || shards <= 1) {
-    body(0, n);
-    return;
-  }
-  // Shard size: grain-aligned, aiming for ~4 shards per lane so a slow
-  // lane sheds work to fast ones (the loop analogue of stealing).
-  size_t target = lanes * 4;
-  size_t step = ((shards + target - 1) / target) * grain;
-  size_t chunks = (n + step - 1) / step;
-  size_t helper_count = lanes - 1;
-  if (helper_count > chunks - 1) helper_count = chunks - 1;
-
-  struct LoopState {
-    std::atomic<size_t> next{0};
-    std::atomic<size_t> helpers_done{0};
-  };
-  auto state = std::make_shared<LoopState>();
-  auto run_chunks = [state, n, step, chunks, body] {
-    // `body` is a FunctionRef into the caller's frame; ParallelFor cannot
-    // return before helpers_done reaches helper_count, so the reference
-    // stays valid for every chunk execution.
-    size_t i;
-    while ((i = state->next.fetch_add(1, std::memory_order_relaxed)) < chunks) {
-      size_t begin = i * step;
-      size_t end = begin + step < n ? begin + step : n;
-      body(begin, end);
-    }
-  };
-  for (size_t h = 0; h < helper_count; ++h) {
-    {
-      MutexLock lock(&helpers_.mutex);
-      helpers_.tasks.push_back([state, run_chunks] {
-        run_chunks();
-        state->helpers_done.fetch_add(1, std::memory_order_release);
-      });
-    }
-    { MutexLock lock(&sleep_mutex_); }
-    sleep_cv_.NotifyAll();
-  }
-  run_chunks();
-  // All chunks are claimed (possibly all by this thread). Wait for the
-  // helper tasks to retire — and keep draining *helper* tasks while
-  // waiting (never foreign Post()ed jobs, which would splice their whole
-  // latency into this round), so nested ParallelFor calls from every
-  // worker at once cannot deadlock the pool: every blocked waiter is
-  // itself a consumer of the queue its progress depends on.
-  while (state->helpers_done.load(std::memory_order_acquire) < helper_count) {
-    if (RunOneHelperTask()) continue;
-    MutexLock lock(&sleep_mutex_);
-    while (state->helpers_done.load(std::memory_order_acquire) <
-               helper_count &&
-           !HasHelperTask()) {
-      sleep_cv_.Wait(&sleep_mutex_);
-    }
-  }
 }
 
 }  // namespace qhorn

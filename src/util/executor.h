@@ -1,27 +1,21 @@
-// A small work-stealing thread pool shared by the concurrent layers.
+// A small work-stealing thread pool: the session lanes of the service.
 //
-// Three consumers, one primitive:
-//   * CompiledQuery::EvaluateAll shards large oracle rounds (ParallelFor),
-//   * AsyncOracle runs its backend evaluation on the pool,
-//   * SessionRouter multiplexes many sessions' jobs across it (Post).
+// One consumer, one primitive: SessionRouter multiplexes many sessions'
+// jobs across the pool with Post (a ShardedRouter's shards share one
+// pool). Rounds are evaluated inline on the lane that asks them; there is
+// no intra-round parallelism.
 //
 // Design points:
-//   * An Executor of concurrency c owns c-1 worker threads; the thread
-//     that calls ParallelFor is the c-th lane, so a pool is never idle
-//     while its creator spins.
+//   * An Executor of concurrency c owns c-1 worker threads. Routers size
+//     their pool one wider than their lane count, because the thread that
+//     submits jobs sleeps in Drain() rather than running them.
 //   * Each worker owns a deque: its own tasks pop LIFO (cache-warm),
 //     other workers steal FIFO from the opposite end, and threads that are
 //     not pool members inject into a shared queue.
-//   * ParallelFor carves [0, n) into grain-aligned shards claimed off an
-//     atomic cursor (the work-stealing analogue for loops: a fast shard
-//     claims the next one, nobody waits on a static partition). The caller
-//     claims shards too, and while waiting for helpers it drains other
-//     pool tasks — a worker blocked in ParallelFor can never deadlock the
-//     pool, even when every worker waits inside a nested loop at once.
-//   * Concurrency 1 is the inline fallback: no threads are spawned,
-//     ParallelFor runs the body in the caller, Post invokes the task
-//     synchronously. A sequential build and a 1-thread pool behave
-//     identically, which the differential tests exploit.
+//   * Concurrency 1 is the inline fallback: no threads are spawned and
+//     Post invokes the task synchronously. A sequential build and a
+//     1-thread pool behave identically, which the differential tests
+//     exploit.
 //
 // DefaultConcurrency() — the lane count an Executor(0) gets — honours the
 // QHORN_THREADS environment variable and falls back to
@@ -33,7 +27,7 @@
 #define QHORN_UTIL_EXECUTOR_H_
 
 #include <atomic>
-#include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -41,7 +35,6 @@
 #include <vector>
 
 #include "src/util/checked_mutex.h"
-#include "src/util/function_ref.h"
 
 namespace qhorn {
 
@@ -59,21 +52,13 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Total lanes, counting the calling thread's ParallelFor participation.
+  /// Total lanes: the worker threads plus the posting thread.
   int concurrency() const { return concurrency_; }
 
   /// Enqueues `task` for asynchronous execution. At concurrency 1 the task
   /// runs inline before Post returns. Tasks must not leak exceptions onto
   /// their lane.
   void Post(std::function<void()> task);
-
-  /// Invokes body(begin, end) over disjoint ranges covering [0, n), in
-  /// parallel across the pool, and returns when all of [0, n) is done.
-  /// Every range boundary except n itself is a multiple of `grain`, so a
-  /// body writing bit-packed output can partition on 64-bit words by
-  /// passing a grain of 64. Blocking: the calling thread both executes
-  /// shards and drains unrelated pool tasks while it waits.
-  void ParallelFor(size_t n, size_t grain, FunctionRef<void(size_t, size_t)> body);
 
   /// Statistics for tests and ServiceStats: tasks executed by a thread
   /// other than the one that posted/spawned them.
@@ -93,19 +78,12 @@ class Executor {
   /// Runs one pending task if any queue has one. Returns false when every
   /// queue was empty.
   bool RunOneTask(int self_index);
-  /// Runs one pending ParallelFor helper, if any. The only draining a
-  /// ParallelFor waiter does: helpers are short bounded shard loops, so a
-  /// waiter never absorbs a foreign Post()ed job (e.g. another session's
-  /// entire learn) into its own round's latency.
-  bool RunOneHelperTask();
   bool PopTask(int self_index, std::function<void()>* task);
   bool HasPendingTask();
-  bool HasHelperTask();
 
   int concurrency_ = 1;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;  // one per worker
   WorkerQueue injection_;  // tasks posted from outside the pool
-  WorkerQueue helpers_;    // ParallelFor shard helpers (drained first)
   std::vector<std::thread> workers_;
   Mutex sleep_mutex_{"executor-sleep", LockRank::kExecutorSleep};
   CondVar sleep_cv_;

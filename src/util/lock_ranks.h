@@ -3,42 +3,44 @@
 // Clang thread-safety analysis (src/util/thread_annotations.h) proves
 // *which* lock guards each field; it cannot prove locks are acquired in a
 // deadlock-free *order*. That is the rank checker's job: every
-// qhorn::Mutex / qhorn::SharedMutex is constructed with a name and a rank
-// from this enum, and in debug/sanitizer builds a thread-local held-lock
-// stack CHECK-fails on any same-or-lower-rank acquisition
-// (src/util/checked_mutex.h). The rule is strict: a thread may only
-// acquire a lock of strictly greater rank than every lock it already
-// holds.
+// qhorn::Mutex is constructed with a name and a rank from this enum, and
+// in debug/sanitizer builds a thread-local held-lock stack CHECK-fails on
+// any same-or-lower-rank acquisition (src/util/checked_mutex.h). The rule
+// is strict: a thread may only acquire a lock of strictly greater rank
+// than every lock it already holds.
 //
-// The order below is derived from the real nesting paths in the code, not
-// aspiration. Verified chains (each inner acquisition happens while the
-// outer lock is held):
+// The order below is derived from the real nesting paths in the code.
+// Verified chains (each inner acquisition happens while the outer lock is
+// held):
 //
 //   kExecutorSleep < kExecutorQueue
-//     Executor::WorkerLoop / ParallelFor wait predicates call
-//     HasPendingTask() — which takes each queue mutex in turn — while
-//     holding sleep_mutex_.
+//     Executor::WorkerLoop's wait predicate calls HasPendingTask(), which
+//     takes each queue mutex in turn, while holding sleep_mutex_.
 //
-//   kDurableRouter < kRouterShard < kWalShard < kFaultFs / kFs
-//     The PR 9 durability chain: DurableRouter releases its id-map mutex
-//     before calling into the router (so holding it across the call would
-//     still be legal), SessionRouter::ProvideAnswersInternal invokes the
-//     commit hook while holding exactly one shard mutex, the hook appends
-//     to that shard's WAL (SessionLog::AppendRecord holds the log mutex
-//     across WritableFile::Append/Sync), and MemFs/FaultFs lock their own
-//     mutex inside the file operations. FaultFs releases its mutex before
-//     delegating to the base file, but it ranks below kFs so holding it
-//     across the call would also be legal.
+//   kDurableRouter < kWalShard < kFaultFs / kFs
+//     DurableRouter::OpenPending holds its id mutex across the
+//     SessionOpened append, so an id is logged by exactly one open and a
+//     refused append consumes none. SessionLog::AppendRecord holds the log
+//     mutex across WritableFile::Append/Sync, and MemFs/FaultFs lock their
+//     own mutex inside the file operations. FaultFs releases its mutex
+//     before delegating to the base file, but it ranks below kFs so
+//     holding it across the call would also be legal.
+//
+//   kRouterShard < kWalShard
+//     SessionRouter::AcceptAnswers invokes a DurableRouter commit hook
+//     while holding exactly one shard mutex, and the hook appends to that
+//     session's WAL shard. kDurableRouter ranks below kRouterShard, though
+//     no path holds both.
 //
 // Everything else is a leaf — nothing is acquired while holding it:
 //
-//   kRouterPoll    SessionRouter::PendingRounds serialization; only the
-//                  lock-free announcement stack and per-session atomics
-//                  are touched under it.
-//   kCacheStripe   CompiledQueryCache stripes; compiles happen *outside*
-//                  all locks, the stripe lock covers only map probes.
-//   kMemo          the CompactAntichainsOfWidth memo cache in
-//                  src/core/enumerate.cc.
+//   kRouterPoll      SessionRouter::PendingRounds serialization; only the
+//                    lock-free announcement stack and per-session atomics
+//                    are touched under it.
+//   kCompiledCache   CompiledQueryCache's map; compiles happen outside
+//                    it, the lock covers only map probes and inserts.
+//   kMemo            the CompactAntichainsOfWidth memo cache in
+//                    src/core/enumerate.cc.
 //
 // The executor ranks sit at the very bottom deliberately: no legitimate
 // path takes an executor lock while holding a service lock, and ranking
@@ -58,14 +60,14 @@ namespace qhorn {
 
 enum class LockRank : int {
   kExecutorSleep = 10,  // Executor::sleep_mutex_
-  kExecutorQueue = 20,  // Executor worker/injection/helpers queues
-  kDurableRouter = 30,  // DurableRouter id maps
+  kExecutorQueue = 20,  // Executor worker/injection queues
+  kDurableRouter = 30,  // DurableRouter id assignment
   kRouterShard = 40,    // SessionRouter::mutex_ (one per shard)
   kRouterPoll = 45,     // SessionRouter::poll_mutex_ (leaf)
   kWalShard = 50,       // SessionLog::mutex_ (one per WAL shard)
   kFaultFs = 55,        // FaultFs fault-schedule mutex
   kFs = 60,             // MemFs file-table mutex
-  kCacheStripe = 70,    // CompiledQueryCache per-stripe shared_mutex (leaf)
+  kCompiledCache = 70,  // CompiledQueryCache map (leaf)
   kMemo = 90,           // enumerate.cc antichain memo cache (leaf)
 };
 
@@ -80,7 +82,7 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kWalShard: return "wal-shard";
     case LockRank::kFaultFs: return "fault-fs";
     case LockRank::kFs: return "fs";
-    case LockRank::kCacheStripe: return "cache-stripe";
+    case LockRank::kCompiledCache: return "compiled-cache";
     case LockRank::kMemo: return "memo";
   }
   return "unknown";

@@ -23,7 +23,7 @@
 #define QHORN_THREAD_ANNOTATION_ATTRIBUTE__(x)  // no-op
 #endif
 
-/// Marks a class as a lockable capability ("mutex", "shared_mutex"…).
+/// Marks a class as a lockable capability ("mutex").
 #define QHORN_CAPABILITY(x) \
   QHORN_THREAD_ANNOTATION_ATTRIBUTE__(capability(x))
 
@@ -51,31 +51,19 @@
 #define QHORN_REQUIRES(...) \
   QHORN_THREAD_ANNOTATION_ATTRIBUTE__(requires_capability(__VA_ARGS__))
 
-/// Caller must hold the capability at least shared.
-#define QHORN_REQUIRES_SHARED(...) \
-  QHORN_THREAD_ANNOTATION_ATTRIBUTE__(requires_shared_capability(__VA_ARGS__))
-
-/// Function acquires the capability (exclusively / shared) and does not
-/// release it before returning.
+/// Function acquires the capability and does not release it before
+/// returning.
 #define QHORN_ACQUIRE(...) \
   QHORN_THREAD_ANNOTATION_ATTRIBUTE__(acquire_capability(__VA_ARGS__))
-#define QHORN_ACQUIRE_SHARED(...) \
-  QHORN_THREAD_ANNOTATION_ATTRIBUTE__(acquire_shared_capability(__VA_ARGS__))
 
-/// Function releases the capability (exclusive / shared / either).
+/// Function releases the capability.
 #define QHORN_RELEASE(...) \
   QHORN_THREAD_ANNOTATION_ATTRIBUTE__(release_capability(__VA_ARGS__))
-#define QHORN_RELEASE_SHARED(...) \
-  QHORN_THREAD_ANNOTATION_ATTRIBUTE__(release_shared_capability(__VA_ARGS__))
-#define QHORN_RELEASE_GENERIC(...) \
-  QHORN_THREAD_ANNOTATION_ATTRIBUTE__(release_generic_capability(__VA_ARGS__))
 
 /// Function attempts the acquisition; the bool result tells the analysis
 /// whether it succeeded.
 #define QHORN_TRY_ACQUIRE(...) \
   QHORN_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_capability(__VA_ARGS__))
-#define QHORN_TRY_ACQUIRE_SHARED(...) \
-  QHORN_THREAD_ANNOTATION_ATTRIBUTE__(try_acquire_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the capability (guards against self-deadlock on
 /// non-recursive mutexes).
@@ -86,8 +74,6 @@
 /// (runtime-verified assertions).
 #define QHORN_ASSERT_CAPABILITY(x) \
   QHORN_THREAD_ANNOTATION_ATTRIBUTE__(assert_capability(x))
-#define QHORN_ASSERT_SHARED_CAPABILITY(x) \
-  QHORN_THREAD_ANNOTATION_ATTRIBUTE__(assert_shared_capability(x))
 
 /// Function returns a reference to the named capability (accessor idiom).
 #define QHORN_RETURN_CAPABILITY(x) \

@@ -279,23 +279,13 @@ FleetResult FleetDriver::RunPending(int lanes_override, int shards_override) {
       fleet_.spec.speculative_batching;
   sopts.learner.universal.speculative_batching =
       fleet_.spec.speculative_batching;
-  const int shards =
-      shards_override > 0 ? shards_override : fleet_.spec.router_shards;
-  if (shards <= 1) {
-    // The classic arm: a bare SessionRouter, exactly as before sharding.
-    SessionRouter::Options ropts;
-    ropts.threads = threads;
-    ropts.session = sopts;
-    SessionRouter router(ropts);
-    RouterEndpoint endpoint(&router);
-    return RunHostile(endpoint);
-  }
   ShardedRouter::Options ropts;
-  ropts.shards = shards;
+  ropts.shards = shards_override > 0 ? shards_override
+                                     : std::max(1, fleet_.spec.router_shards);
   ropts.threads = threads;
   ropts.session = sopts;
   ShardedRouter router(ropts);
-  ShardedRouterEndpoint endpoint(&router);
+  RouterEndpoint endpoint(&router);
   return RunHostile(endpoint);
 }
 

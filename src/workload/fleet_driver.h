@@ -20,7 +20,7 @@
 //     answer bits — a noisy user consulted twice about one round must
 //     say the same thing twice, because real users do not re-roll their
 //     answers when the server restarts. RunPending is the classic
-//     in-memory instantiation over a fleet-owned SessionRouter.
+//     in-memory instantiation over a fleet-owned ShardedRouter.
 //
 //   * RunSynchronous: the reference arm. The same sessions (minus the
 //     abandoned ones) over the same per-session user stacks, opened as
@@ -105,15 +105,12 @@ void SubmitSpecJobs(RouterT& router, typename RouterT::SessionId id,
   }
 }
 
-/// ServiceEndpoint over an in-memory router — the identity instantiation
+/// ServiceEndpoint over an in-memory ShardedRouter — the instantiation
 /// the classic differential arm runs against, and the shape durable
-/// endpoints mimic. RouterT is SessionRouter (the 1-shard classic) or
-/// ShardedRouter (the facade the sharded differentials drive); both speak
-/// the identical protocol surface.
-template <typename RouterT>
-class BasicRouterEndpoint : public ServiceEndpoint {
+/// endpoints mimic.
+class RouterEndpoint : public ServiceEndpoint {
  public:
-  explicit BasicRouterEndpoint(RouterT* router) : router_(router) {}
+  explicit RouterEndpoint(ShardedRouter* router) : router_(router) {}
 
   SessionId OpenPending(const SessionSpec& spec) override {
     SessionId id = router_->OpenPending(spec.n);
@@ -138,11 +135,8 @@ class BasicRouterEndpoint : public ServiceEndpoint {
   ServiceStats stats() override { return router_->stats(); }
 
  private:
-  RouterT* router_;
+  ShardedRouter* router_;
 };
-
-using RouterEndpoint = BasicRouterEndpoint<SessionRouter>;
-using ShardedRouterEndpoint = BasicRouterEndpoint<ShardedRouter>;
 
 class FleetDriver {
  public:
@@ -153,12 +147,12 @@ class FleetDriver {
   FleetResult RunHostile(ServiceEndpoint& endpoint,
                          CrashController* crash = nullptr);
 
-  /// RunHostile over a fleet-owned in-memory router on
+  /// RunHostile over a fleet-owned in-memory ShardedRouter on
   /// `fleet.spec.lanes` lanes (overridable for the benchmarks' lane
-  /// sweeps; <= 0 uses the spec). `shards_override` picks the router shard count (<= 0 uses the
-  /// spec's `router_shards`); 1 runs the classic bare SessionRouter,
-  /// anything higher runs the ShardedRouter facade — observables must
-  /// not notice, which is exactly what the sharded differentials pin.
+  /// sweeps; <= 0 uses the spec). `shards_override` picks the shard count
+  /// (<= 0 uses the spec's `router_shards`). One shard is bit-identical
+  /// to a bare SessionRouter; more shards must not change observables,
+  /// which is exactly what the sharded differentials pin.
   FleetResult RunPending(int lanes_override = 0, int shards_override = 0);
 
   /// Reference arm: synchronous in-order replay on one lane.

@@ -196,11 +196,12 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
 
 TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
   // The same 256-session plan fleet, adversarially scheduled, driven
-  // through the ShardedRouter facade at 1, 2 and 8 shards — external ids
-  // and round merges cross the id encoding, the per-shard announcement
-  // queues, and the shared compiled-query cache. Every arm's per-session
-  // fingerprints must be bit-identical to a single-threaded synchronous
-  // replay: shard count is a throughput knob, never an observable.
+  // through the ShardedRouter facade at 1, 2 and 8 shards — global ids
+  // and round merges cross the shard placement, the per-shard
+  // announcement queues, and the shared compiled-query cache. Every arm's
+  // per-session fingerprints must be bit-identical to a single-threaded
+  // synchronous replay: shard count is a throughput knob, never an
+  // observable.
   constexpr int kSessions = 256;
   constexpr int kLanes = 4;
   const int n = 6;

@@ -13,7 +13,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/durable/durable_router.h"
@@ -99,7 +102,7 @@ TEST(DurableRouterTest, EveryProtocolCallIsLoggedBeforeAck) {
 
   SessionSpec spec = CleanSpecs(1)[0];
   DurableRouter::SessionId id = dr->OpenPending(spec);
-  EXPECT_EQ(id, 1) << "external ids are sequential from 1";
+  EXPECT_EQ(id, 1) << "session ids are sequential from 1";
   EXPECT_EQ(dr->records_logged(), 1);
 
   int64_t rounds = 0;
@@ -142,6 +145,48 @@ TEST(DurableRouterTest, SessionsShardByExternalId) {
   EXPECT_EQ(s0.records[0].session_id, 2);
   EXPECT_EQ(s1.records[0].session_id, 1);
   EXPECT_EQ(s1.records[1].session_id, 3);
+}
+
+// Concurrent opens race on id assignment: each must log, open and return
+// an id no other open got, and recovery must find one session per id.
+TEST(DurableRouterTest, ConcurrentOpensGetDistinctIds) {
+  constexpr int kThreads = 4;
+  constexpr int kOpensPerThread = 256;
+  constexpr int kSessions = kThreads * kOpensPerThread;
+  MemFs mem;
+  std::string error;
+  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+  ASSERT_NE(dr, nullptr) << error;
+  const std::vector<SessionSpec> specs = CleanSpecs(8);
+
+  std::vector<std::vector<DurableRouter::SessionId>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kOpensPerThread; ++i) {
+        got[static_cast<size_t>(t)].push_back(
+            dr->OpenPending(specs[static_cast<size_t>(i) % specs.size()]));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::set<DurableRouter::SessionId> ids;
+  for (const auto& per_thread : got) ids.insert(per_thread.begin(), per_thread.end());
+  ASSERT_EQ(ids.size(), static_cast<size_t>(kSessions)) << "an id was handed out twice";
+  EXPECT_EQ(*ids.begin(), 1);
+  EXPECT_EQ(*ids.rbegin(), kSessions);
+  dr->Drain();
+  for (DurableRouter::SessionId id : ids) {
+    EXPECT_TRUE(dr->status(id).has_value()) << "session " << id;
+  }
+  dr.reset();
+
+  RecoveryReport report;
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.sessions_recovered, kSessions);
+  EXPECT_EQ(report.duplicate_records_skipped, 0);
 }
 
 TEST(DurableRouterTest, GarbageIdsAreRefusedNotLogged) {
@@ -233,6 +278,19 @@ TEST(DurableRouterTest, RecoveryIsObservablyIdenticalMidSession) {
     EXPECT_EQ(after[i].session_id, acked[i].session_id);
     EXPECT_EQ(after[i].round_id, acked[i].round_id);
     EXPECT_EQ(after[i].questions, acked[i].questions);
+  }
+
+  // One id across layers: the recovered router stores each session under
+  // the id the durable layer logged, and its rounds carry that id.
+  ASSERT_FALSE(after.empty());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const auto id = static_cast<DurableRouter::SessionId>(i + 1);
+    EXPECT_EQ(rec->router().status(id), rec->status(id)) << "session " << id;
+  }
+  for (const PendingRound& r : after) {
+    std::optional<PendingRound> round = rec->router().pending_round(r.session_id);
+    ASSERT_TRUE(round.has_value()) << "session " << r.session_id;
+    EXPECT_EQ(round->session_id, r.session_id);
   }
 
   // Finish the fleet on the recovered service; observables must match the

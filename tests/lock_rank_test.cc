@@ -52,15 +52,15 @@ TEST(LockRankTest, InOrderAcquisitionIsClean) {
 
 TEST(LockRankDeathTest, OutOfRankAcquisitionDiesNamingBothLocks) {
   SKIP_WITHOUT_RANK_CHECKS();
-  Mutex stripe("cache-stripe-mutex", LockRank::kCacheStripe);
+  Mutex cache("compiled-cache-mutex", LockRank::kCompiledCache);
   Mutex shard("router-shard-mutex", LockRank::kRouterShard);
   EXPECT_DEATH(
       {
-        MutexLock outer(&stripe);
+        MutexLock outer(&cache);
         MutexLock inner(&shard);
       },
       "lock-rank violation: acquiring 'router-shard-mutex'.*"
-      "while holding 'cache-stripe-mutex'");
+      "while holding 'compiled-cache-mutex'");
 }
 
 TEST(LockRankDeathTest, SameRankAcquisitionDies) {
@@ -94,31 +94,6 @@ TEST(LockRankDeathTest, UnheldReleaseDies) {
   EXPECT_DEATH(mu.Unlock(),
                "lock-rank: releasing 'never-locked' which this thread does "
                "not hold");
-}
-
-TEST(LockRankDeathTest, SharedLockObeysRanksToo) {
-  SKIP_WITHOUT_RANK_CHECKS();
-  SharedMutex stripe("stripe", LockRank::kCacheStripe);
-  Mutex shard("shard", LockRank::kRouterShard);
-  EXPECT_DEATH(
-      {
-        ReaderLock outer(&stripe);
-        MutexLock inner(&shard);
-      },
-      "lock-rank violation: acquiring 'shard'.*while holding 'stripe'");
-}
-
-TEST(LockRankDeathTest, RecursiveSharedAcquisitionDies) {
-  SKIP_WITHOUT_RANK_CHECKS();
-  // A second shared lock from one thread can deadlock against a queued
-  // writer, so the checker treats it like any recursive acquisition.
-  SharedMutex mu("reread-stripe", LockRank::kCacheStripe);
-  EXPECT_DEATH(
-      {
-        ReaderLock outer(&mu);
-        ReaderLock inner(&mu);
-      },
-      "lock-rank: recursive acquisition of 'reread-stripe'");
 }
 
 TEST(LockRankDeathTest, PostingUnderALockDiesAtConcurrencyOne) {
@@ -229,13 +204,13 @@ TEST(LockRankDeathTest, CommitHookGrabbingASecondShardMutexDies) {
 // Positive stress: the real lock chain, walked concurrently, stays silent.
 
 TEST(LockRankTest, RankCleanChainStress) {
-  // The deepest legitimate chain in the tree, one local replica per
-  // thread plus shared leaves, hammered from several threads at once:
+  // The service ranks taken in order, one local shard replica per thread
+  // plus shared leaves, hammered from several threads at once:
   // the checker must stay silent and the per-thread stacks must balance.
   Mutex durable("stress-durable", LockRank::kDurableRouter);
   Mutex wal("stress-wal", LockRank::kWalShard);
   Mutex fs("stress-fs", LockRank::kFs);
-  SharedMutex stripe("stress-stripe", LockRank::kCacheStripe);
+  Mutex cache("stress-cache", LockRank::kCompiledCache);
   Mutex memo("stress-memo", LockRank::kMemo);
 
   constexpr int kThreads = 8;
@@ -251,10 +226,10 @@ TEST(LockRankTest, RankCleanChainStress) {
         MutexLock c(&wal);
         MutexLock d(&fs);
         if ((i + t) % 2 == 0) {
-          ReaderLock e(&stripe);
+          MutexLock e(&cache);
           MutexLock f(&memo);
         } else {
-          WriterLock e(&stripe);
+          MutexLock e(&cache);
         }
       }
       EXPECT_EQ(LockRankChecker::HeldCount(), 0);

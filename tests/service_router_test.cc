@@ -32,53 +32,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // Executor.
 
-TEST(ExecutorTest, ParallelForCoversTheRangeExactlyOnce) {
-  for (int threads : {1, 2, 4, 8}) {
-    Executor executor(threads);
-    EXPECT_EQ(executor.concurrency(), threads);
-    std::vector<std::atomic<int>> hits(1000);
-    executor.ParallelFor(1000, 64, [&](size_t begin, size_t end) {
-      if (begin != 1000) {
-        EXPECT_EQ(begin % 64, 0u) << "shard boundaries must be grain-aligned";
-      }
-      for (size_t i = begin; i < end; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(ExecutorTest, ParallelForHandlesEmptyAndTinyRanges) {
-  Executor executor(4);
-  int calls = 0;
-  executor.ParallelFor(0, 64, [&](size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int> sum{0};
-  executor.ParallelFor(3, 64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) sum.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(sum.load(), 0 + 1 + 2);
-}
-
-TEST(ExecutorTest, NestedParallelForDoesNotDeadlock) {
-  Executor executor(4);
-  std::atomic<int> total{0};
-  // Every outer shard issues an inner loop on the same pool; with all
-  // lanes blocked in outer waits, progress depends on the waiters
-  // draining helper tasks.
-  executor.ParallelFor(8, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      executor.ParallelFor(256, 64, [&](size_t b, size_t e) {
-        total.fetch_add(static_cast<int>(e - b), std::memory_order_relaxed);
-      });
-    }
-  });
-  EXPECT_EQ(total.load(), 8 * 256);
-}
-
 TEST(ExecutorTest, PostRunsInlineAtConcurrencyOne) {
   Executor executor(1);
   bool ran = false;
@@ -94,32 +47,6 @@ TEST(ExecutorTest, QhornThreadsOverridesDefaultConcurrency) {
   EXPECT_GE(Executor::DefaultConcurrency(), 1);
   unsetenv("QHORN_THREADS");
   EXPECT_GE(Executor::DefaultConcurrency(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel EvaluateAll: sharded verdicts must equal inline verdicts.
-
-TEST(ParallelEvaluateAllTest, ShardedEqualsInline) {
-  Rng rng(11);
-  RpOptions qopts;
-  qopts.num_heads = 2;
-  qopts.theta = 2;
-  qopts.num_conjunctions = 3;
-  Query q = RandomRolePreserving(16, rng, qopts);
-  CompiledQuery compiled(q);
-  size_t count = 2 * CompiledQuery::kParallelRoundCutover + 101;
-  std::vector<TupleSet> objects;
-  for (size_t i = 0; i < count; ++i) {
-    objects.push_back(RandomObject(16, rng, 8));
-  }
-  BitVec inline_bits;
-  compiled.EvaluateAll(objects, inline_bits.Prepare(count), nullptr);
-  Executor executor(4);
-  BitVec parallel_bits;
-  compiled.EvaluateAll(objects, parallel_bits.Prepare(count), &executor);
-  for (size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(parallel_bits.Get(i), inline_bits.Get(i)) << "object " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

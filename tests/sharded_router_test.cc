@@ -1,14 +1,15 @@
 // ShardedRouter — the N-shard facade over SessionRouter — plus the two
-// concurrency structures PR 9 slid underneath it: the striped
-// CompiledQueryCache every shard shares and the lock-free MPSC
-// pending-round drain. Also covers the parked-fiber cold-stack trim.
+// concurrency structures underneath it: the CompiledQueryCache every
+// shard shares and the lock-free MPSC pending-round drain. Also covers
+// the parked-fiber cold-stack trim.
 //
 // The load-bearing property is the facade contract: a session's
 // observables depend only on its own job and answer sequence, never on
 // the shard count — a 1-shard facade is bit-identical (ids included) to a
 // bare SessionRouter, and 2/8-shard runs produce fingerprints equal to
-// the 1-shard run session for session. The lock-free poll is raced
-// against live suspensions/resumes under TSan.
+// the 1-shard run session for session. The facade and its shards share
+// one id space: id i lives on shard i % shards under the same id. The
+// lock-free poll is raced against live suspensions/resumes under TSan.
 //
 // Runs under the tsan preset in CI (ctest label: continuation).
 
@@ -96,8 +97,8 @@ TEST(ShardedRouterTest, OneShardIsBitIdenticalToBareRouterIdsIncluded) {
   std::vector<std::string> facade_prints =
       DriveVerifyFleet(facade, target, 12, &facade_ids);
 
-  // At shards == 1 the id encoding is the identity: same ids, same
-  // rounds, same fingerprints — a drop-in replacement, byte for byte.
+  // At shards == 1 the facade is a drop-in replacement, byte for byte:
+  // same ids, same rounds, same fingerprints.
   EXPECT_EQ(facade_ids, bare_ids);
   EXPECT_EQ(facade_prints, bare_prints);
 }
@@ -125,7 +126,7 @@ TEST(ShardedRouterTest, FingerprintsBitIdenticalAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Id encoding and garbage tolerance.
+// One id space and garbage tolerance.
 
 TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   ShardedRouter::Options sopts;
@@ -133,19 +134,17 @@ TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   sopts.threads = 1;
   ShardedRouter router(sopts);
 
-  std::set<int64_t> seen;
-  for (int s = 0; s < 4; ++s) {
-    for (int k = 0; k < 3; ++k) {
-      int64_t id = router.OpenPendingOnShard(s, 3);
-      EXPECT_EQ(router.ShardOf(id), s);
-      EXPECT_TRUE(seen.insert(id).second) << "duplicate external id " << id;
-      EXPECT_EQ(router.status(id), SessionStatus::kIdle);
-    }
+  // Caller-assigned ids (the durable layer's path) pin placement: id i
+  // lands on shard i % 4 and is stored there under i itself.
+  for (int64_t id : {5, 6, 7, 8, 13, 22, 31, 40}) {
+    EXPECT_EQ(router.OpenPending(3, id), id);
+    EXPECT_EQ(router.ShardOf(id), static_cast<int>(id % 4));
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
   }
+  EXPECT_EQ(router.OpenPending(3, 13), 0) << "a taken id must be refused";
 
-  // Garbage ids: zero, negative, an encoding whose internal part is zero
-  // (external < shards), and a well-formed encoding nobody opened. All
-  // rejected without a crash.
+  // Garbage ids: zero, negative, and ids nobody opened (one below the
+  // pinned range, one far above it). All rejected without a crash.
   for (int64_t garbage : {int64_t{0}, int64_t{-7}, int64_t{3}, int64_t{4004}}) {
     EXPECT_EQ(router.status(garbage), std::nullopt) << garbage;
     EXPECT_FALSE(router.Close(garbage)) << garbage;
@@ -170,16 +169,18 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
     ASSERT_TRUE(router.SubmitVerify(id, target));
     ids.push_back(id);
   }
+  // Global ids 1..12 in open order, spread round-robin over the shards.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(ids[i], static_cast<int64_t>(i + 1));
+    EXPECT_EQ(router.ShardOf(ids[i]), static_cast<int>(ids[i] % 4));
+  }
   router.Drain();
   std::vector<PendingRound> rounds = router.PendingRounds();
   ASSERT_EQ(rounds.size(), ids.size());
-  std::set<int64_t> expected(ids.begin(), ids.end());
   for (size_t i = 0; i < rounds.size(); ++i) {
-    EXPECT_EQ(expected.count(rounds[i].session_id), 1u);
-    if (i > 0) {
-      EXPECT_LT(rounds[i - 1].session_id, rounds[i].session_id);
-    }
-    // The per-id view speaks the same external ids as the merged poll.
+    // Merged across four shards, sorted by global id: exactly 1..12.
+    EXPECT_EQ(rounds[i].session_id, ids[i]);
+    // The per-id view speaks the same global ids as the merged poll.
     std::optional<PendingRound> single =
         router.pending_round(rounds[i].session_id);
     ASSERT_TRUE(single.has_value());
@@ -285,7 +286,7 @@ TEST(ShardedRouterTest, MpscStackDeliversEveryPushAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped CompiledQueryCache under concurrent Get.
+// The shared CompiledQueryCache under concurrent Get.
 
 TEST(CompiledQueryCacheTest, StripedGetIsCoherentUnderConcurrentHammer) {
   CompiledQueryCache cache;
