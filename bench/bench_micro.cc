@@ -197,37 +197,6 @@ void BM_OracleBatchSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleBatchSequential)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 
-// BM_OracleBatchParallel vs BM_OracleBatchBatched at the same width was
-// the executor pair: the identical round evaluated inline (Batched) vs
-// sharded across an executor by the AsyncOracle backend (Parallel).
-// Intra-round parallel evaluation is gone, so AsyncOracle now evaluates
-// the round inline too and the pair measures ~1x. It stays in the gate
-// until the pair is retired there (see ROADMAP); the "lanes" counter still
-// reports Executor::DefaultConcurrency() so tools/bench_compare.py keeps
-// matching it against the reference machine's.
-void BM_OracleBatchParallel(benchmark::State& state) {
-  int n = 64;
-  size_t batch = static_cast<size_t>(state.range(0));
-  Query q = BenchQuery(n);
-  AsyncOracle oracle(std::make_shared<const CompiledQuery>(q));
-  CountingOracle counting(&oracle);
-  MembershipOracle* top = &counting;
-  std::vector<TupleSet> questions = BatchQuestions(n, batch);
-  BitVec answers;
-  for (auto _ : state) {
-    top->IsAnswerBatch(questions, answers.Prepare(batch));
-    benchmark::DoNotOptimize(answers);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-  const int lanes = Executor::DefaultConcurrency();
-  state.counters["lanes"] = static_cast<double>(lanes);
-  state.SetLabel("AsyncOracle inline EvaluateAll, " + std::to_string(lanes) +
-                 " lanes");
-}
-// UseRealTime: kept so the pair's name (and its real_time reading in
-// tools/bench_compare.py) is unchanged.
-BENCHMARK(BM_OracleBatchParallel)->Arg(256)->Arg(4096)->UseRealTime();
-
 void BM_CachingOracleHit(benchmark::State& state) {
   int n = 64;
   Query q = BenchQuery(n);
@@ -536,15 +505,15 @@ BENCHMARK(BM_ServiceOpenSessionsDirect)
 
 // Multi-core router contention: the PR 9 headline. Four driver threads
 // hammer one router facade with a mixed open/submit/provide/poll workload
-// over disjoint session ranges — 3/4 pending sessions (every round
-// crosses the announcement queue and a provide), 1/4 simulated sessions
-// (pure open/drain traffic through the shared striped compiled-query
-// cache). Every session verifies the same tiny target, so per-session
-// compute is a few microseconds and the time is dominated by router
-// bookkeeping: shard mutexes, cache stripes, announcement drains. The
-// shards argument is the contended-vs-striped knob — at 1 shard this is
-// the old global-mutex SessionRouter reached through the identity facade;
-// the gate pair (4096 sessions, 8 shards vs 1 shard) records what the
+// over disjoint session ranges — 3/4 pending sessions (every round is
+// polled with pending_round and answered with a provide, both under the
+// session's shard mutex), 1/4 simulated sessions (pure open/drain traffic
+// through the shared compiled-query cache). Every session verifies the
+// same tiny target, so per-session compute is a few microseconds and the
+// time is dominated by router bookkeeping: shard mutexes, the cache
+// mutex, the executor queue. The shards argument is the
+// contended-vs-striped knob — at 1 shard this is the old global-mutex
+// SessionRouter reached through the identity facade; the gate pair (4096 sessions, 8 shards vs 1 shard) records what the
 // sharding bought on the reference box.
 void BM_RouterContention(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
@@ -580,7 +549,7 @@ void BM_RouterContention(benchmark::State& state) {
           }
         }
         // Play this driver's users: per-id polls (four pollers hitting
-        // the per-shard announcement state concurrently), all-no answers
+        // the shard mutexes concurrently), all-no answers
         // (verification's question set is fixed, so arbitrary labels
         // terminate deterministically).
         BitVec bits;

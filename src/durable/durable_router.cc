@@ -151,7 +151,15 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   error->clear();
 
   // Phase 1 — scan: CRC-check every shard, truncate torn tails loudly,
-  // reject anything typed-bad before touching any state.
+  // reject anything typed-bad before touching any state. A log written
+  // with a different shard count is typed-bad too: a shard past the
+  // count would be skipped, and a record outside its home shard would
+  // have its later records appended to a different file.
+  if (fs->FileExists(ShardPath(log_dir, options.shards))) {
+    *error = "log has more than " + std::to_string(options.shards) +
+             " shard(s): " + ShardPath(log_dir, options.shards) + " exists";
+    return nullptr;
+  }
   std::map<SessionId, SessionImage> images;
   for (int i = 0; i < options.shards; ++i) {
     const std::string path = ShardPath(log_dir, i);
@@ -174,6 +182,13 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     // already-seen ids and gaps are recognizable as impossible futures.
     for (LogRecord& rec : read.records) {
       ++report->records_read;
+      if (rec.session_id % options.shards != i) {
+        *error = "shard " + std::to_string(i) + " holds session " +
+                 std::to_string(rec.session_id) + ", which lives on shard " +
+                 std::to_string(rec.session_id % options.shards) + " of " +
+                 std::to_string(options.shards);
+        return nullptr;
+      }
       SessionImage& image = images[rec.session_id];
       switch (rec.type) {
         case LogRecordType::kSessionOpened:

@@ -93,7 +93,9 @@ class DurableRouter {
   /// or undecodable records with a typed error, re-opens every logged
   /// session and replays its answered rounds through the ordinary pending
   /// protocol. nullptr + `*error` on any typed failure — a log Recover
-  /// cannot vouch for is never half-replayed.
+  /// cannot vouch for is never half-replayed. `options.shards` must be the
+  /// count the log was written with: a shard file past it, or a record
+  /// outside shard id % shards, is refused.
   static std::unique_ptr<DurableRouter> Recover(
       Fs* fs, const std::string& log_dir, const DurableRouterOptions& options,
       RecoveryReport* report, std::string* error);

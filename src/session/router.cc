@@ -116,18 +116,6 @@ SessionRouter::~SessionRouter() {
     }
   }
   for (SessionState* state : parked) UnwindFiber(state);
-  // Free announcement nodes for rounds still pending at teardown — both
-  // the batch never popped and the retained poll set. No producer is live
-  // (workers joined above), so the pop is race-free.
-  for (AnnouncementNode* node = announced_rounds_.PopAll(); node != nullptr;) {
-    AnnouncementNode* next = node->next;
-    delete node;
-    node = next;
-  }
-  {
-    MutexLock poll_lock(&poll_mutex_);
-    live_announcements_.clear();
-  }
 }
 
 void SessionRouter::UnwindFiber(SessionState* state) {
@@ -222,7 +210,7 @@ bool SessionRouter::SubmitJob(SessionId id, Job job, JobKind kind) {
       state->job_log.push_back(JobRecord{std::move(job), kind});
       // A session blocked on its user cannot progress: the job waits in
       // the log, uncounted, until ProvideAnswers makes it runnable.
-      if (!state->awaiting) {
+      if (!state->pending_round.has_value()) {
         ++runnable_jobs_;
         if (!state->running) {
           state->running = true;
@@ -415,16 +403,10 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         (void)state->pending_backend->TakePending();
         abandoned = true;
       } else {
-        state->pending_round = state->pending_backend->TakePending();
-        state->awaiting = true;
-        state->snapshot_bytes = resident;
-        // Publish for the lock-free poll: the atomic id and the pushed
-        // node go out in the same critical section as runnable_jobs_'s
+        // Published in the same critical section as runnable_jobs_'s
         // decrement, so Drain-then-poll observes every parked round.
-        state->awaiting_round.store(state->pending_round->round_id,
-                                    std::memory_order_release);
-        announced_rounds_.Push(new AnnouncementNode(
-            RoundAnnouncement{*state->pending_round, state}));
+        state->pending_round = state->pending_backend->TakePending();
+        state->snapshot_bytes = resident;
       }
       state->running = false;
     }
@@ -462,33 +444,14 @@ bool SessionRouter::SubmitRevise(SessionId id, Query candidate) {
 
 std::vector<PendingRound> SessionRouter::PendingRounds() {
   std::vector<PendingRound> rounds;
-  MutexLock poll_lock(&poll_mutex_);
-  // Fold the freshly announced batch into the retained set. Never takes
-  // mutex_: the batch pop is one atomic exchange and the filter below
-  // reads only per-session atomics.
-  for (AnnouncementNode* node = announced_rounds_.PopAll(); node != nullptr;) {
-    AnnouncementNode* next = node->next;
-    live_announcements_.emplace_back(node);
-    node = next;
-  }
-  // A node is reported while its id is the awaited one, freed once its id
-  // retires (answered / corrected away / abandoned by Close), and kept
-  // silently in the transient window a racy poll can see between a
-  // resume's two atomic stores. Round ids are monotonic per session, so
-  // the lower-bound test can never free a live round.
-  size_t kept = 0;
-  for (auto& node : live_announcements_) {
-    const SessionState* state = node->value.state;
-    const int64_t id = node->value.round.round_id;
-    if (id <= state->retired_round.load(std::memory_order_acquire)) {
-      continue;  // dead — drop the node
+  {
+    MutexLock lock(&mutex_);
+    for (const auto& [id, state] : sessions_) {
+      if (state->pending_round.has_value()) {
+        rounds.push_back(*state->pending_round);
+      }
     }
-    if (state->awaiting_round.load(std::memory_order_acquire) == id) {
-      rounds.push_back(node->value.round);
-    }
-    live_announcements_[kept++] = std::move(node);
   }
-  live_announcements_.resize(kept);
   std::sort(rounds.begin(), rounds.end(),
             [](const PendingRound& a, const PendingRound& b) {
               return a.session_id < b.session_id;
@@ -517,7 +480,9 @@ ProvideOutcome SessionRouter::AcceptAnswers(SessionId id, int64_t round_id,
     if (it == sessions_.end()) return ProvideOutcome::kUnknownSession;
     state = it->second.get();
     if (state->closed) return ProvideOutcome::kSessionClosed;
-    if (!state->awaiting) return ProvideOutcome::kNotAwaiting;
+    if (!state->pending_round.has_value()) {
+      return ProvideOutcome::kNotAwaiting;
+    }
     PendingRound& round = *state->pending_round;
     if (round_id != round.round_id) return ProvideOutcome::kStaleRound;
     if (answers.size() != round.questions.size()) {
@@ -552,14 +517,7 @@ ProvideOutcome SessionRouter::AcceptAnswers(SessionId id, int64_t round_id,
           std::move(round.questions[i]), answers.Get(i), round.round_id});
     }
     ++state->answered_rounds;
-    // Retire the round for the lock-free poll: its announcement node is
-    // dead (freed on the next PendingRounds), and no round is awaited
-    // until the next suspension. Order matters for racy readers — retire
-    // first, then clear, so a node is never both unreported and unfreed.
-    state->retired_round.store(round_id, std::memory_order_release);
-    state->awaiting_round.store(-1, std::memory_order_release);
     state->pending_round.reset();
-    state->awaiting = false;
     runnable_jobs_ += static_cast<int64_t>(state->job_log.size() -
                                            state->jobs_completed);
     state->running = true;
@@ -576,7 +534,9 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     if (it == sessions_.end()) return ProvideOutcome::kUnknownSession;
     state = it->second.get();
     if (state->closed) return ProvideOutcome::kSessionClosed;
-    if (!state->awaiting) return ProvideOutcome::kNotAwaiting;
+    if (!state->pending_round.has_value()) {
+      return ProvideOutcome::kNotAwaiting;
+    }
     if (entry_index >= state->answered_entries.size()) {
       return ProvideOutcome::kAnswerCountMismatch;
     }
@@ -602,13 +562,7 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // destructors, so it happens on a lane, never under this lock).
     state->fiber_cancel = state->fiber != nullptr;
     state->staged_answers.clear();
-    // Retire the abandoned round for the lock-free poll (ids stay
-    // monotonic, so the restarted session's next round compares higher).
-    state->retired_round.store(state->pending_round->round_id,
-                               std::memory_order_release);
-    state->awaiting_round.store(-1, std::memory_order_release);
     state->pending_round.reset();
-    state->awaiting = false;
     runnable_jobs_ += static_cast<int64_t>(state->job_log.size());
     state->running = true;
     ++corrections_;
@@ -621,9 +575,7 @@ std::optional<PendingRound> SessionRouter::pending_round(SessionId id) {
   MutexLock lock(&mutex_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return std::nullopt;
-  const SessionState* state = it->second.get();
-  if (!state->awaiting) return std::nullopt;
-  return state->pending_round;
+  return it->second->pending_round;
 }
 
 bool SessionRouter::Close(SessionId id) {
@@ -633,15 +585,9 @@ bool SessionRouter::Close(SessionId id) {
   SessionState* state = it->second.get();
   if (state->closed) return false;
   state->closed = true;
-  if (state->awaiting) {
-    // The user will never answer; abandon the round. The session's
-    // uncompleted jobs were uncounted at suspension, so nothing waits.
-    state->retired_round.store(state->pending_round->round_id,
-                               std::memory_order_release);
-    state->awaiting_round.store(-1, std::memory_order_release);
-    state->pending_round.reset();
-    state->awaiting = false;
-  }
+  // The user will never answer; abandon any pending round. The session's
+  // uncompleted jobs were uncounted at suspension, so nothing waits.
+  state->pending_round.reset();
   return true;
 }
 
@@ -650,7 +596,7 @@ std::optional<SessionStatus> SessionRouter::status(SessionId id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return std::nullopt;
   const SessionState* state = it->second.get();
-  if (state->awaiting) return SessionStatus::kAwaitingUser;
+  if (state->pending_round.has_value()) return SessionStatus::kAwaitingUser;
   if (state->running || !state->queue.empty()) return SessionStatus::kRunning;
   return SessionStatus::kIdle;
 }
@@ -694,7 +640,7 @@ ServiceStats SessionRouter::stats() {
     stats.rounds += state->session->rounds();
     stats.cache_hits += state->session->cache_hits();
     stats.replayed_questions += state->session->user_questions_replayed();
-    if (state->awaiting) {
+    if (state->pending_round.has_value()) {
       ++stats.awaiting_sessions;
       stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
     }

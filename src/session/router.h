@@ -59,7 +59,6 @@
 #ifndef QHORN_SESSION_ROUTER_H_
 #define QHORN_SESSION_ROUTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -76,7 +75,6 @@
 #include "src/util/executor.h"
 #include "src/util/fiber.h"
 #include "src/util/function_ref.h"
-#include "src/util/mpsc.h"
 
 namespace qhorn {
 
@@ -256,14 +254,12 @@ class SessionRouter {
   /// The embedding server's poll: render each round's questions to its
   /// user, then call ProvideAnswers with the labels.
   ///
-  /// Drained through a lock-free MPSC announcement queue: suspending
-  /// runners publish their round with one atomic push, and the poll pops
-  /// the batch and filters it against per-session atomics — it never takes
-  /// the router mutex, so polling cannot stall (or be stalled by) opens,
-  /// submits or resumes. After Drain() the result is exact; a poll racing
-  /// live runners may transiently omit a round that is suspending or
-  /// include one being answered right now (a stale reply then bounces off
-  /// kStaleRound/kNotAwaiting, exactly like any hostile duplicate).
+  /// Copies every awaiting session's round under the router mutex, so the
+  /// result is exact at one instant, even alongside live runners: a round
+  /// is listed from the critical section that parks it until the one that
+  /// answers, corrects or closes it. A reply to a round answered since
+  /// the poll bounces off kStaleRound/kNotAwaiting, like any hostile
+  /// duplicate.
   std::vector<PendingRound> PendingRounds();
 
   /// Feeds a user's labels back into a suspended session. `round_id` must
@@ -371,8 +367,9 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  // Locking protocol: the map shape, queue, job log, counters and the
-  // awaiting/running/closed flags are guarded by the router's mutex_.
+  // Locking protocol: the map shape, queue, job log, counters, the
+  // pending round and the running/closed flags are guarded by the
+  // router's mutex_; PendingRounds reads them under it too.
   // The resume-state fields (answered_entries, staged_answers, fiber*)
   // follow an ownership handoff instead: while `running` is true they
   // belong exclusively to the runner task and are read/written without
@@ -397,7 +394,9 @@ class SessionRouter {
     // field = the pending-protocol round id the entry was answered in.
     std::vector<TranscriptEntry> answered_entries;
     int64_t answered_rounds = 0;
-    std::optional<PendingRound> pending_round;  // set while awaiting
+    // Set exactly while the session is suspended on a user round that
+    // ProvideAnswers will resume.
+    std::optional<PendingRound> pending_round;
     // Resident bytes of the parked stack while awaiting (ServiceStats).
     size_t snapshot_bytes = 0;
     // `fiber` is the parked continuation — the suspended job's live call
@@ -413,19 +412,8 @@ class SessionRouter {
     bool fiber_cancel = false;
     size_t fiber_jobs_run = 0;
     int64_t suspensions = 0;
-    bool awaiting = false;  // suspended; ProvideAnswers will resume
-    bool running = false;   // a runner task currently owns this session
+    bool running = false;  // a runner task currently owns this session
     bool closed = false;
-    // Lock-free pending-round publication (see PendingRounds). Both are
-    // written under mutex_ alongside the fields they mirror and read
-    // without it by the poll path: `awaiting_round` is the round id the
-    // session currently awaits (-1 while not awaiting); `retired_round`
-    // is the highest round id that is dead — answered, corrected away,
-    // or abandoned by Close. Round ids are monotonic per session (never
-    // reused), which is what makes the exact-match / lower-bound filter
-    // in PendingRounds sound.
-    std::atomic<int64_t> awaiting_round{-1};
-    std::atomic<int64_t> retired_round{-1};
   };
 
   /// Stores a new session under `id` (0: the next id). Returns the id, or
@@ -456,18 +444,6 @@ class SessionRouter {
   void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex_);
   SessionState* FindSession(SessionId id) QHORN_REQUIRES(mutex_);
 
-  /// A parked round as the poll path sees it: the round payload copied at
-  /// suspension plus the owning session, pushed onto announced_rounds_ by
-  /// the suspending runner. Nodes are interpreted against the session's
-  /// awaiting_round/retired_round atomics — a node is *reported* while its
-  /// id is the one awaited, *freed* once its id is retired, and retained
-  /// silently in the (transient, racy-poll-only) window between.
-  struct RoundAnnouncement {
-    PendingRound round;
-    SessionState* state = nullptr;
-  };
-  using AnnouncementNode = MpscStack<RoundAnnouncement>::Node;
-
   Options options_;
   std::unique_ptr<Executor> owned_executor_;  // null when Options.executor set
   Executor* exec_ = nullptr;                  // owned or borrowed, never null
@@ -482,18 +458,6 @@ class SessionRouter {
   // AcceptAnswers).
   Mutex mutex_{"router-shard", LockRank::kRouterShard};
   CondVar idle_cv_;
-  // The pending-round drain: suspending runners publish here (one push per
-  // suspension, lock-free as seen by the consumer), PendingRounds pops the
-  // batch and folds it into live_announcements_ under poll_mutex_ — so the
-  // poll path never takes mutex_ and suspension/resume on this router never
-  // contends with another shard's opens through the facade.
-  MpscStack<RoundAnnouncement> announced_rounds_;
-  // Serializes PendingRounds consumers. A leaf (LockRank::kRouterPoll):
-  // only the announcement stack and per-session atomics are touched under
-  // it, never mutex_.
-  Mutex poll_mutex_{"router-poll", LockRank::kRouterPoll};
-  std::vector<std::unique_ptr<AnnouncementNode>> live_announcements_
-      QHORN_GUARDED_BY(poll_mutex_);
   std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions_
       QHORN_GUARDED_BY(mutex_);
   SessionId next_id_ QHORN_GUARDED_BY(mutex_) = 1;

@@ -2,14 +2,13 @@
 //
 // One SessionRouter serializes every protocol call on a single mutex —
 // fine at 64 sessions, a wall at millions. The facade splits the session
-// space across N shards, each a complete SessionRouter with its own mutex,
-// session map and announcement queue, so protocol calls against different
-// shards never touch a shared line. What *is* shared is deliberately the
-// cheap-to-share part:
+// space across N shards, each a complete SessionRouter with its own mutex
+// and session map, so protocol calls against different shards never touch
+// a shared line. What *is* shared is deliberately the cheap-to-share part:
 //
 //   * one Executor: lanes are a machine-wide resource; every shard posts
-//     its runner tasks to the same work-stealing pool (Options.threads is
-//     the TOTAL lane count, not per-shard).
+//     its runner tasks to the same pool and its one task queue
+//     (Options.threads is the TOTAL lane count, not per-shard).
 //   * one CompiledQueryCache: a query compiled once is compiled once
 //     service-wide. Only OpenSimulated touches it, once per open.
 //
@@ -27,8 +26,7 @@
 // only on its own job and answer sequence, never on which shard hosts it
 // or how many shards exist. The facade adds no cross-shard coordination —
 // Drain() drains shard by shard (jobs never create work on another
-// shard), PendingRounds() merges per-shard lock-free drains, and stats()
-// sums.
+// shard), PendingRounds() merges per-shard polls, and stats() sums.
 //
 // Scaling model: throughput ≈ min(lanes, shards × per-shard capacity).
 // Shards bound protocol-call parallelism (mutex acquisitions spread
@@ -108,7 +106,9 @@ class ShardedRouter {
   bool SubmitVerify(SessionId id, Query candidate);
   bool SubmitRevise(SessionId id, Query candidate);
 
-  /// Every shard's lock-free drain, merged and ordered by session id.
+  /// Every shard's poll, merged and ordered by session id. Each shard's
+  /// part is exact at the instant its mutex was held; shards are polled
+  /// one after another, never under two shard mutexes at once.
   std::vector<PendingRound> PendingRounds();
 
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,

@@ -9,12 +9,6 @@ namespace qhorn {
 
 namespace {
 
-/// Identity of the worker loop running on this thread, if any. Workers of
-/// distinct executors never nest on one thread, so one pair of
-/// thread-locals (owning executor + index) is enough.
-thread_local const Executor* tls_executor = nullptr;
-thread_local int tls_worker_index = -1;
-
 /// Runs a pool task.
 void RunTask(const std::function<void()>& task) {
   // Tasks must start with no checked locks held: Post() under a lock
@@ -42,31 +36,24 @@ int Executor::DefaultConcurrency() {
 
 Executor::Executor(int threads) {
   concurrency_ = threads <= 0 ? DefaultConcurrency() : threads;
-  int workers = concurrency_ - 1;
-  queues_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  workers_.reserve(static_cast<size_t>(concurrency_ - 1));
+  for (int i = 1; i < concurrency_; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 Executor::~Executor() {
   {
-    // stop_ flips under sleep_mutex_ so a worker checking the wait
-    // predicate cannot miss it.
-    MutexLock lock(&sleep_mutex_);
-    stop_.store(true, std::memory_order_release);
+    MutexLock lock(&mutex_);
+    stop_ = true;
   }
-  sleep_cv_.NotifyAll();
+  cv_.NotifyAll();
   for (std::thread& t : workers_) t.join();
   // The destructor contract is quiescence, not draining: owners (e.g.
   // SessionRouter::Drain) must retire their work first. Losing a queued
   // task silently would be a caller bug — fail loudly instead.
-  QHORN_CHECK_MSG(!HasPendingTask(),
-                  "Executor destroyed with tasks still queued");
+  MutexLock lock(&mutex_);
+  QHORN_CHECK_MSG(tasks_.empty(), "Executor destroyed with tasks still queued");
 }
 
 void Executor::Post(std::function<void()> task) {
@@ -76,93 +63,26 @@ void Executor::Post(std::function<void()> task) {
     RunTask(task);
     return;
   }
-  WorkerQueue* queue = &injection_;
-  if (tls_executor == this && tls_worker_index >= 0) {
-    queue = queues_[static_cast<size_t>(tls_worker_index)].get();
-  }
   {
-    MutexLock lock(&queue->mutex);
-    queue->tasks.push_back(std::move(task));
+    MutexLock lock(&mutex_);
+    tasks_.push_back(std::move(task));
   }
-  // The empty lock pairs the enqueue with any waiter that checked the
-  // queues just before it; the notify then cannot be lost.
-  { MutexLock lock(&sleep_mutex_); }
-  sleep_cv_.NotifyAll();
+  cv_.NotifyOne();
 }
 
-bool Executor::HasPendingTask() {
-  {
-    MutexLock lock(&injection_.mutex);
-    if (!injection_.tasks.empty()) return true;
-  }
-  for (const auto& q : queues_) {
-    MutexLock lock(&q->mutex);
-    if (!q->tasks.empty()) return true;
-  }
-  return false;
-}
-
-bool Executor::PopTask(int self_index, std::function<void()>* task) {
-  if (queues_.empty()) return false;
-  // The own deque first (LIFO: the task most likely still in cache)…
-  if (self_index >= 0) {
-    WorkerQueue* own = queues_[static_cast<size_t>(self_index)].get();
-    MutexLock lock(&own->mutex);
-    if (!own->tasks.empty()) {
-      *task = std::move(own->tasks.back());
-      own->tasks.pop_back();
-      return true;
-    }
-  }
-  // …then the injection queue, then steal FIFO from the other workers.
-  {
-    MutexLock lock(&injection_.mutex);
-    if (!injection_.tasks.empty()) {
-      *task = std::move(injection_.tasks.front());
-      injection_.tasks.pop_front();
-      return true;
-    }
-  }
-  size_t base = static_cast<size_t>(self_index < 0 ? 0 : self_index);
-  for (size_t off = 1; off <= queues_.size(); ++off) {
-    size_t victim = (base + off) % queues_.size();
-    if (static_cast<int>(victim) == self_index) continue;
-    WorkerQueue* q = queues_[victim].get();
-    MutexLock lock(&q->mutex);
-    if (!q->tasks.empty()) {
-      *task = std::move(q->tasks.front());
-      q->tasks.pop_front();
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-bool Executor::RunOneTask(int self_index) {
-  std::function<void()> task;
-  if (!PopTask(self_index, &task)) return false;
-  RunTask(task);
-  return true;
-}
-
-void Executor::WorkerLoop(int index) {
-  tls_executor = this;
-  tls_worker_index = index;
-  while (true) {
-    if (RunOneTask(index)) continue;
-    bool stopping;
+void Executor::WorkerLoop() {
+  for (;;) {
+    std::function<void()> task;
     {
-      MutexLock lock(&sleep_mutex_);
-      while (!stop_.load(std::memory_order_acquire) && !HasPendingTask()) {
-        sleep_cv_.Wait(&sleep_mutex_);
-      }
-      stopping = stop_.load(std::memory_order_acquire);
+      MutexLock lock(&mutex_);
+      while (!stop_ && tasks_.empty()) cv_.Wait(&mutex_);
+      // Stopping: exit only once the queue is drained.
+      if (tasks_.empty()) return;
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    if (stopping) break;
+    RunTask(task);
   }
-  tls_executor = nullptr;
-  tls_worker_index = -1;
 }
 
 }  // namespace qhorn

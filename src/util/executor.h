@@ -1,4 +1,5 @@
-// A small work-stealing thread pool: the session lanes of the service.
+// A small thread pool with one FIFO task queue: the session lanes of the
+// service.
 //
 // One consumer, one primitive: SessionRouter multiplexes many sessions'
 // jobs across the pool with Post (a ShardedRouter's shards share one
@@ -9,9 +10,9 @@
 //   * An Executor of concurrency c owns c-1 worker threads. Routers size
 //     their pool one wider than their lane count, because the thread that
 //     submits jobs sleeps in Drain() rather than running them.
-//   * Each worker owns a deque: its own tasks pop LIFO (cache-warm),
-//     other workers steal FIFO from the opposite end, and threads that are
-//     not pool members inject into a shared queue.
+//   * Every task goes through one mutex-guarded queue, run in post order
+//     by whichever worker wakes first. Workers drain the queue before they
+//     exit.
 //   * Concurrency 1 is the inline fallback: no threads are spawned and
 //     Post invokes the task synchronously. A sequential build and a
 //     1-thread pool behave identically, which the differential tests
@@ -26,11 +27,9 @@
 #ifndef QHORN_UTIL_EXECUTOR_H_
 #define QHORN_UTIL_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -60,35 +59,20 @@ class Executor {
   /// their lane.
   void Post(std::function<void()> task);
 
-  /// Statistics for tests and ServiceStats: tasks executed by a thread
-  /// other than the one that posted/spawned them.
-  int64_t steals() const { return steals_.load(std::memory_order_relaxed); }
+  /// Always 0 (one shared queue steals nothing); kept because the
+  /// end-to-end benchmark reports it.
+  int64_t steals() const { return 0; }
 
  private:
-  // Lock order (src/util/lock_ranks.h): sleep_mutex_ (kExecutorSleep) is
-  // taken first — the wait predicates call HasPendingTask(), which walks
-  // the queue mutexes (kExecutorQueue), while holding it. Tasks always
-  // run with no executor lock held.
-  struct WorkerQueue {
-    Mutex mutex{"executor-queue", LockRank::kExecutorQueue};
-    std::deque<std::function<void()>> tasks QHORN_GUARDED_BY(mutex);
-  };
-
-  void WorkerLoop(int index);
-  /// Runs one pending task if any queue has one. Returns false when every
-  /// queue was empty.
-  bool RunOneTask(int self_index);
-  bool PopTask(int self_index, std::function<void()>* task);
-  bool HasPendingTask();
+  void WorkerLoop();
 
   int concurrency_ = 1;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;  // one per worker
-  WorkerQueue injection_;  // tasks posted from outside the pool
   std::vector<std::thread> workers_;
-  Mutex sleep_mutex_{"executor-sleep", LockRank::kExecutorSleep};
-  CondVar sleep_cv_;
-  std::atomic<bool> stop_{false};
-  std::atomic<int64_t> steals_{0};
+  // Tasks always run with no executor lock held.
+  Mutex mutex_{"executor", LockRank::kExecutor};
+  CondVar cv_;
+  std::deque<std::function<void()>> tasks_ QHORN_GUARDED_BY(mutex_);
+  bool stop_ QHORN_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace qhorn

@@ -13,10 +13,6 @@
 // Verified chains (each inner acquisition happens while the outer lock is
 // held):
 //
-//   kExecutorSleep < kExecutorQueue
-//     Executor::WorkerLoop's wait predicate calls HasPendingTask(), which
-//     takes each queue mutex in turn, while holding sleep_mutex_.
-//
 //   kDurableRouter < kWalShard < kFaultFs / kFs
 //     DurableRouter::OpenPending holds its id mutex across the
 //     SessionOpened append, so an id is logged by exactly one open and a
@@ -34,17 +30,15 @@
 //
 // Everything else is a leaf — nothing is acquired while holding it:
 //
-//   kRouterPoll      SessionRouter::PendingRounds serialization; only the
-//                    lock-free announcement stack and per-session atomics
-//                    are touched under it.
+//   kExecutor        the Executor's task queue; tasks run outside it.
 //   kCompiledCache   CompiledQueryCache's map; compiles happen outside
 //                    it, the lock covers only map probes and inserts.
 //   kMemo            the CompactAntichainsOfWidth memo cache in
 //                    src/core/enumerate.cc.
 //
-// The executor ranks sit at the very bottom deliberately: no legitimate
-// path takes an executor lock while holding a service lock, and ranking
-// them lowest turns "Post() while holding a router mutex" — which would
+// The executor rank sits at the very bottom deliberately: no legitimate
+// path takes the executor lock while holding a service lock, and ranking
+// it lowest turns "Post() while holding a router mutex" — which would
 // deadlock outright at concurrency 1, where Post runs the task inline —
 // into a loud rank violation in every checked build.
 //
@@ -59,11 +53,9 @@
 namespace qhorn {
 
 enum class LockRank : int {
-  kExecutorSleep = 10,  // Executor::sleep_mutex_
-  kExecutorQueue = 20,  // Executor worker/injection queues
+  kExecutor = 10,       // Executor task queue (leaf)
   kDurableRouter = 30,  // DurableRouter id assignment
   kRouterShard = 40,    // SessionRouter::mutex_ (one per shard)
-  kRouterPoll = 45,     // SessionRouter::poll_mutex_ (leaf)
   kWalShard = 50,       // SessionLog::mutex_ (one per WAL shard)
   kFaultFs = 55,        // FaultFs fault-schedule mutex
   kFs = 60,             // MemFs file-table mutex
@@ -74,11 +66,9 @@ enum class LockRank : int {
 /// Human-readable rank for rank-violation diagnostics.
 constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
-    case LockRank::kExecutorSleep: return "executor-sleep";
-    case LockRank::kExecutorQueue: return "executor-queue";
+    case LockRank::kExecutor: return "executor";
     case LockRank::kDurableRouter: return "durable-router";
     case LockRank::kRouterShard: return "router-shard";
-    case LockRank::kRouterPoll: return "router-poll";
     case LockRank::kWalShard: return "wal-shard";
     case LockRank::kFaultFs: return "fault-fs";
     case LockRank::kFs: return "fs";

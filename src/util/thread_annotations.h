@@ -79,12 +79,4 @@
 #define QHORN_RETURN_CAPABILITY(x) \
   QHORN_THREAD_ANNOTATION_ATTRIBUTE__(lock_returned(x))
 
-/// Opts a function out of the analysis. Every use must carry a written
-/// justification — legitimate only for genuinely lock-free protocols
-/// (Treiber stack push/pop, the awaiting/retired round atomics, fiber
-/// stack switching) where the synchronization lives outside the mutex
-/// model TSA reasons about.
-#define QHORN_NO_TSA \
-  QHORN_THREAD_ANNOTATION_ATTRIBUTE__(no_thread_safety_analysis)
-
 #endif  // QHORN_UTIL_THREAD_ANNOTATIONS_H_

@@ -119,8 +119,8 @@ struct WorkloadSpec {
 
   /// Router shards the hostile arm runs behind (PR 9): 1 is the classic
   /// bare SessionRouter, anything higher drives the ShardedRouter facade.
-  /// Drawn from {1, 2, 4, 8} so the fuzz sweep exercises the id encoding
-  /// and per-shard announcement queues on every seed mix; observables
+  /// Drawn from {1, 2, 4, 8} so the fuzz sweep exercises shard placement
+  /// and the per-shard polls on every seed mix; observables
   /// must not depend on it (that is the differential).
   int router_shards = 1;
 

@@ -326,6 +326,35 @@ TEST(DurableRouterTest, RecoverReclosesClosedSessions) {
             ProvideOutcome::kSessionClosed);
 }
 
+// A log is recovered only under the shard count it was written with.
+// Fewer shards would skip whole files; more would place a session's new
+// records in a different file than its history.
+TEST(DurableRouterTest, RecoverRefusesADifferentShardCount) {
+  MemFs mem;
+  std::string error;
+  std::vector<SessionSpec> specs = CleanSpecs(8);
+  {
+    auto dr = DurableRouter::Create(&mem, kLogDir, Opts(/*shards=*/4), &error);
+    ASSERT_NE(dr, nullptr) << error;
+    for (const SessionSpec& s : specs) ASSERT_GT(dr->OpenPending(s), 0);
+    dr->Drain();
+  }
+  mem.CrashAll();
+
+  RecoveryReport report;
+  for (int shards : {2, 8}) {
+    auto rec =
+        DurableRouter::Recover(&mem, kLogDir, Opts(shards), &report, &error);
+    EXPECT_EQ(rec, nullptr) << "recovered a 4-shard log at " << shards
+                            << " shards (" << report.sessions_recovered
+                            << " sessions)";
+    EXPECT_FALSE(error.empty()) << "at " << shards << " shards";
+  }
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(4), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.sessions_recovered, static_cast<int64_t>(specs.size()));
+}
+
 TEST(DurableRouterTest, TornShardTailIsTruncatedLoudly) {
   MemFs mem;
   std::string error;

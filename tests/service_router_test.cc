@@ -11,10 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -37,6 +39,34 @@ TEST(ExecutorTest, PostRunsInlineAtConcurrencyOne) {
   bool ran = false;
   executor.Post([&] { ran = true; });
   EXPECT_TRUE(ran) << "a 1-lane executor is synchronous";
+}
+
+TEST(ExecutorTest, TaskPostedFromARunningTaskRunsBeforeDestruction) {
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<bool> inner_ran{false};
+    {
+      Executor executor(4);
+      executor.Post([&] {
+        // Still running when the destructor starts: the other workers may
+        // already have found the queue empty and exited.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        executor.Post([&] { inner_ran.store(true); });
+      });
+    }
+    EXPECT_TRUE(inner_ran.load()) << "round " << round;
+  }
+}
+
+TEST(ExecutorTest, OneWorkerRunsTasksInPostOrder) {
+  std::vector<int> order;
+  {
+    Executor executor(2);  // one worker thread
+    for (int i = 0; i < 100; ++i) {
+      executor.Post([&order, i] { order.push_back(i); });
+    }
+  }
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 TEST(ExecutorTest, QhornThreadsOverridesDefaultConcurrency) {
