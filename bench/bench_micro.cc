@@ -40,7 +40,6 @@
 #include "src/oracle/pipeline.h"
 #include "src/relation/chocolate.h"
 #include "src/session/router.h"
-#include "src/session/sharded_router.h"
 #include "src/util/bit_span.h"
 #include "src/util/executor.h"
 #include "src/verify/verification_set.h"
@@ -504,7 +503,7 @@ BENCHMARK(BM_ServiceOpenSessionsDirect)
     ->UseRealTime();
 
 // Multi-core router contention: the PR 9 headline. Four driver threads
-// hammer one router facade with a mixed open/submit/provide/poll workload
+// hammer one sharded router with a mixed open/submit/provide/poll workload
 // over disjoint session ranges — 3/4 pending sessions (every round is
 // polled with pending_round and answered with a provide, both under the
 // session's shard mutex), 1/4 simulated sessions (pure open/drain traffic
@@ -512,9 +511,9 @@ BENCHMARK(BM_ServiceOpenSessionsDirect)
 // same tiny target, so per-session compute is a few microseconds and the
 // time is dominated by router bookkeeping: shard mutexes, the cache
 // mutex, the executor queue. The shards argument is the
-// contended-vs-striped knob — at 1 shard this is the old global-mutex
-// SessionRouter reached through the identity facade; the gate pair (4096 sessions, 8 shards vs 1 shard) records what the
-// sharding bought on the reference box.
+// contended-vs-striped knob — at 1 shard every call takes one global
+// mutex; the gate pair (4096 sessions, 8 shards vs 1 shard) records what
+// the sharding bought on the reference box.
 void BM_RouterContention(benchmark::State& state) {
   const int sessions = static_cast<int>(state.range(0));
   const int shards = static_cast<int>(state.range(1));
@@ -527,23 +526,23 @@ void BM_RouterContention(benchmark::State& state) {
   qopts.conj_size_max = 2;
   const Query target = RandomRolePreserving(4, rng, qopts);
   for (auto _ : state) {
-    ShardedRouter::Options opts;
+    SessionRouter::Options opts;
     opts.shards = shards;
     opts.threads = 4;
-    ShardedRouter router(opts);
+    SessionRouter router(opts);
     std::vector<std::thread> drivers;
     drivers.reserve(kDrivers);
     for (int d = 0; d < kDrivers; ++d) {
       drivers.emplace_back([&router, &target, sessions, d] {
         const int begin = d * sessions / kDrivers;
         const int end = (d + 1) * sessions / kDrivers;
-        std::vector<ShardedRouter::SessionId> pending;
+        std::vector<SessionRouter::SessionId> pending;
         for (int s = begin; s < end; ++s) {
           if (s % 4 == 0) {
             // Simulated: answers itself on a lane; open + cache traffic.
             router.SubmitVerify(router.OpenSimulated(target), target);
           } else {
-            ShardedRouter::SessionId id = router.OpenPending(4);
+            SessionRouter::SessionId id = router.OpenPending(4);
             router.SubmitVerify(id, target);
             pending.push_back(id);
           }
@@ -556,7 +555,7 @@ void BM_RouterContention(benchmark::State& state) {
         bool done = false;
         while (!done) {
           done = true;
-          for (ShardedRouter::SessionId id : pending) {
+          for (SessionRouter::SessionId id : pending) {
             std::optional<PendingRound> round = router.pending_round(id);
             if (round.has_value()) {
               BitSpan span = bits.Prepare(round->questions.size());
@@ -578,7 +577,7 @@ void BM_RouterContention(benchmark::State& state) {
   state.counters["lanes"] = 4.0;
   state.counters["shards"] = static_cast<double>(shards);
   state.SetLabel("4 drivers, mixed open/provide/poll, " +
-                 std::to_string(shards) + "-shard facade");
+                 std::to_string(shards) + "-shard router");
 }
 // UseRealTime: the drivers and the router lanes all run off-thread; the
 // contention cost is a wall-clock number.

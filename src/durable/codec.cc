@@ -167,6 +167,9 @@ bool DecodeSessionSpec(Decoder& in, SessionSpec* out) {
   spec.abandon = abandon != 0;
   if (!in.GetU32(&abandon_after)) return false;
   spec.abandon_after_rounds = static_cast<int>(abandon_after);
+  // Well-framed but unrunnable (n = 0, or a job's query of the wrong
+  // arity): reopening it would abort, so it is not a valid encoding.
+  if (!IsValidSessionSpec(spec)) return false;
   *out = std::move(spec);
   return true;
 }

@@ -11,19 +11,25 @@
 
 namespace qhorn {
 
+namespace {
+
+/// One router shard per WAL shard (see DurableRouterOptions::shards);
+/// lanes and session options come from the wrapped router options
+/// unchanged.
+SessionRouter::Options RouterOptions(const DurableRouterOptions& options) {
+  SessionRouter::Options router = options.router;
+  router.shards = options.shards;
+  return router;
+}
+
+}  // namespace
+
 DurableRouter::DurableRouter(Fs* fs, std::string log_dir,
                              DurableRouterOptions options)
-    : fs_(fs), log_dir_(std::move(log_dir)), options_(options) {
-  QHORN_CHECK(options_.shards >= 1);
-  // One router shard per WAL shard (see DurableRouterOptions::shards);
-  // lanes and session options come from the wrapped router options
-  // unchanged.
-  ShardedRouter::Options sharded;
-  sharded.shards = options_.shards;
-  sharded.threads = options_.router.threads;
-  sharded.session = options_.router.session;
-  router_ = std::make_unique<ShardedRouter>(sharded);
-}
+    : fs_(fs),
+      log_dir_(std::move(log_dir)),
+      options_(options),
+      router_(RouterOptions(options_)) {}
 
 DurableRouter::~DurableRouter() = default;
 
@@ -61,6 +67,9 @@ SessionLog* DurableRouter::ShardFor(SessionId id) {
 }
 
 DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
+  // A spec the router cannot run would abort the open — and, once logged,
+  // every recovery after it. Refuse it before it reaches the log.
+  if (!IsValidSessionSpec(spec)) return 0;
   SessionId id;
   {
     // Log before ack, under the assignment lock: the id is consumed only
@@ -78,9 +87,9 @@ DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
   // commit hooks append to its WAL while holding its router shard's mutex
   // — a 1:1 mapping, so two sessions contend on a router lock iff they
   // share a WAL anyway.
-  const SessionId opened = router_->OpenPending(spec.n, id);
+  const SessionId opened = router_.OpenPending(spec.n, id);
   QHORN_CHECK_MSG(opened == id, "router refused durable session id " << id);
-  SubmitSpecJobs(*router_, id, spec);
+  SubmitSpecJobs(router_, id, spec);
   return id;
 }
 
@@ -94,34 +103,34 @@ ProvideOutcome DurableRouter::ProvideAnswers(SessionId id, int64_t round_id,
   auto commit = [&]() -> bool {
     return shard->AppendRoundAnswered(id, round_id, answers);
   };
-  return router_->ProvideAnswers(id, round_id, answers,
-                                 SessionRouter::CommitHook(commit));
+  return router_.ProvideAnswers(id, round_id, answers,
+                                SessionRouter::CommitHook(commit));
 }
 
 bool DurableRouter::Close(SessionId id) {
-  if (!router_->status(id).has_value()) return false;
-  // Log before ack; a duplicate close record (append ok but the router
-  // reports already-closed, or a caller retry after a sync failure) is
-  // skipped idempotently by Recover.
-  if (!ShardFor(id)->AppendSessionClosed(id)) return false;
-  return router_->Close(id);
+  // Log before ack, from inside the commit hook: only a close the router
+  // accepts is logged, once, however many callers race it. A retry after
+  // a sync failure can still leave a duplicate close record; Recover
+  // skips it idempotently.
+  auto commit = [&]() -> bool { return ShardFor(id)->AppendSessionClosed(id); };
+  return router_.Close(id, SessionRouter::CommitHook(commit));
 }
 
 std::vector<PendingRound> DurableRouter::PendingRounds() {
-  return router_->PendingRounds();
+  return router_.PendingRounds();
 }
 
-void DurableRouter::Drain() { router_->Drain(); }
+void DurableRouter::Drain() { router_.Drain(); }
 
 std::optional<SessionStatus> DurableRouter::status(SessionId id) {
-  return router_->status(id);
+  return router_.status(id);
 }
 
 QuerySession& DurableRouter::session(SessionId id) {
-  return router_->session(id);
+  return router_.session(id);
 }
 
-ServiceStats DurableRouter::stats() { return router_->stats(); }
+ServiceStats DurableRouter::stats() { return router_.stats(); }
 
 int64_t DurableRouter::records_logged() const {
   int64_t total = 0;
@@ -253,11 +262,11 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   if (!durable->OpenLogs(error)) return nullptr;
   SessionId next_id = 1;
   for (const auto& [id, image] : images) {
-    if (durable->router_->OpenPending(image.spec.n, id) != id) {
+    if (durable->router_.OpenPending(image.spec.n, id) != id) {
       *error = "log opens invalid session id " + std::to_string(id);
       return nullptr;
     }
-    SubmitSpecJobs(*durable->router_, id, image.spec);
+    SubmitSpecJobs(durable->router_, id, image.spec);
     next_id = std::max(next_id, id + 1);
     ++report->sessions_recovered;
   }
@@ -276,12 +285,12 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   std::map<SessionId, size_t> fed;
   BitVec bits;
   for (;;) {
-    durable->router_->Drain();
+    durable->router_.Drain();
     bool progress = false;
     for (const auto& [id, image] : images) {
       size_t& next = fed[id];
       if (next >= image.rounds.size()) continue;
-      std::optional<PendingRound> round = durable->router_->pending_round(id);
+      std::optional<PendingRound> round = durable->router_.pending_round(id);
       if (!round.has_value()) continue;  // checked after the fixpoint
       const std::vector<bool>& answers = image.rounds[next];
       if (round->round_id != static_cast<int64_t>(next)) {
@@ -304,7 +313,7 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
       // The three-argument overload: replay must not re-log what the log
       // just said.
       ProvideOutcome out =
-          durable->router_->ProvideAnswers(id, round->round_id, span);
+          durable->router_.ProvideAnswers(id, round->round_id, span);
       if (out != ProvideOutcome::kResumed) {
         std::ostringstream os;
         os << "session " << id << ": replay of round " << next
@@ -332,10 +341,10 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   // session closed mid-round abandons the same round it abandoned then).
   for (const auto& [id, image] : images) {
     if (!image.closed) continue;
-    durable->router_->Close(id);
+    durable->router_.Close(id);
     ++report->sessions_closed;
   }
-  durable->router_->Drain();
+  durable->router_.Drain();
   return durable;
 }
 

@@ -12,8 +12,10 @@
 //                              under the router lock. A refused append
 //                              surfaces as kLogWriteFailed with the
 //                              session untouched;
-//   Close(id)                → SessionClosed{id} appended, then the
-//                              session closes.
+//   Close(id)                → SessionClosed{id} appended from inside
+//                              the router's commit hook, the same way:
+//                              a close the router would refuse (unknown
+//                              or already-closed id) is never logged.
 //
 // Sessions are deterministic functions of (spec, answer sequence)
 // (router.h's determinism contract), so the log needs no checkpoints:
@@ -27,7 +29,7 @@
 // Session ids: the wrapper assigns each session its id (1, 2, … in open
 // order), logs it in SessionOpened, and opens the router session under
 // that same id; recovery reopens every logged session under its logged
-// id. One id space from the log down to the router shard: users outlive
+// id. One id space from the log down to the router's shards: users outlive
 // server crashes, and their session handles do too. Assignment holds the
 // wrapper's mutex across the SessionOpened append, so two concurrent
 // opens never log one id and a refused append consumes none; opens
@@ -49,19 +51,21 @@
 
 #include "src/durable/fs.h"
 #include "src/durable/session_log.h"
-#include "src/session/sharded_router.h"
+#include "src/session/router.h"
 #include "src/util/checked_mutex.h"
 #include "src/workload/workload.h"
 
 namespace qhorn {
 
 struct DurableRouterOptions {
+  /// Lanes and session options of the in-memory router. `router.shards`
+  /// is not read: `shards` below is copied over it.
   SessionRouter::Options router;
   SessionLogOptions log;  ///< kEveryAppend = full log-before-ack durability
-  /// WAL shards *and* router shards: the in-memory service is a
-  /// ShardedRouter with the same count, and session id i lives on WAL
-  /// shard i mod shards and on router shard i mod shards, so a commit
-  /// hook on one WAL only ever holds that one router shard's mutex.
+  /// WAL shards *and* router shards: the in-memory SessionRouter gets the
+  /// same count, and session id i lives on WAL shard i mod shards and on
+  /// router shard i mod shards, so a commit hook on one WAL only ever
+  /// holds that one router shard's mutex.
   int shards = 4;
 };
 
@@ -106,8 +110,9 @@ class DurableRouter {
   DurableRouter& operator=(const DurableRouter&) = delete;
 
   /// Logs SessionOpened, then opens the session and submits the spec's
-  /// job plan. 0 (never a valid id) if the log refused the record — the
-  /// call is retryable and id assignment is unaffected.
+  /// job plan. 0 (never a valid id) if the spec is not one the router can
+  /// run (IsValidSessionSpec; nothing is logged) or the log refused the
+  /// record — the call is retryable and id assignment is unaffected.
   SessionId OpenPending(const SessionSpec& spec);
 
   /// SessionRouter::ProvideAnswers semantics plus kLogWriteFailed when
@@ -118,9 +123,11 @@ class DurableRouter {
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
                                 BitSpan answers);
 
-  /// Logs SessionClosed, then closes. False if the id is unknown, the
-  /// session is already closed, or the close record could not be
-  /// committed (retryable; recovery skips a duplicate close).
+  /// Logs SessionClosed, then closes. False — and nothing logged — if the
+  /// id is unknown or the session is already closed; false with the
+  /// session still open if the close record could not be committed
+  /// (retryable; recovery skips the duplicate close a retry after a sync
+  /// failure can leave).
   bool Close(SessionId id);
 
   /// Pending rounds, ordered by session id.
@@ -134,7 +141,8 @@ class DurableRouter {
   /// Records appended across all shards (tests assert log growth).
   int64_t records_logged() const;
 
-  ShardedRouter& router() { return *router_; }
+  /// Read-only: every mutation goes through the logged calls above.
+  const SessionRouter& router() const { return router_; }
 
   static std::string ShardPath(const std::string& log_dir, int shard);
 
@@ -147,7 +155,7 @@ class DurableRouter {
   Fs* fs_;
   std::string log_dir_;
   DurableRouterOptions options_;
-  std::unique_ptr<ShardedRouter> router_;
+  SessionRouter router_;
   std::vector<std::unique_ptr<SessionLog>> shards_;
 
   // Guards id assignment only: held across the SessionOpened append (rank

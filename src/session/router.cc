@@ -68,50 +68,44 @@ const char* ToString(ResumeMode) { return "fiber"; }
 SessionRouter::SessionRouter() : SessionRouter(Options()) {}
 
 SessionRouter::SessionRouter(Options options) : options_(std::move(options)) {
+  QHORN_CHECK_MSG(options_.shards >= 1, "SessionRouter needs >= 1 shard");
+  shards_.reserve(static_cast<size_t>(options_.shards));
+  for (int i = 0; i < options_.shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
   // Options.threads counts *session lanes*. Session jobs are Post()ed and
   // the submitting thread sleeps in Drain(), so only the executor's
   // workers (concurrency - 1 of them) ever run jobs — ask for one more
   // lane so `threads` sessions really do run concurrently. threads == 1
-  // stays the synchronous inline executor (the differential baseline).
-  if (options_.executor != nullptr) {
-    exec_ = options_.executor;
-  } else {
-    int lanes = options_.threads <= 0 ? Executor::DefaultConcurrency()
-                                      : options_.threads;
-    owned_executor_ = std::make_unique<Executor>(lanes == 1 ? 1 : lanes + 1);
-    exec_ = owned_executor_.get();
-  }
-  if (options_.compiled_cache != nullptr) {
-    cache_ = options_.compiled_cache;
-  } else {
-    owned_cache_ = std::make_unique<CompiledQueryCache>();
-    cache_ = owned_cache_.get();
-  }
+  // stays the synchronous inline executor (the differential baseline —
+  // even with many shards, every runner then executes in the caller).
+  const int lanes = options_.threads <= 0 ? Executor::DefaultConcurrency()
+                                          : options_.threads;
+  executor_ = std::make_unique<Executor>(lanes == 1 ? 1 : lanes + 1);
 }
 
 SessionRouter::~SessionRouter() {
   Drain();
-  // Join the executor before any member is destroyed: Drain() returning
-  // only proves the last runnable job *completed* — its runner task may
-  // still be between the completion bookkeeping and its final empty-queue
-  // check, touching session state, mutex_ and idle_cv_. ~Executor joins
-  // the workers, so after this line no runner code is in flight. With a
-  // *borrowed* executor this reset is a no-op and the owner is responsible
-  // for the same guarantee: it must have destroyed (joined) the shared
-  // pool before destroying this router (ShardedRouter's teardown order).
-  owned_executor_.reset();
+  // Join the executor before any shard is touched: Drain() returning only
+  // proves the last runnable job *completed* — its runner task may still
+  // be between the completion bookkeeping and its final empty-queue
+  // check, touching session state and its shard's mutex and condvar.
+  // ~Executor joins the workers, so after this line no runner code is in
+  // flight on any shard.
+  executor_.reset();
   // Unwind continuations still parked on abandoned rounds (sessions
   // awaiting a user who never answered, or closed while parked): the
   // parked stacks hold live learner frames whose destructors must run.
   // Safe on this thread — the workers are joined, so no runner owns any
-  // session anymore. Collect under the lock (the locks are uncontended
-  // now, but they keep the guarded-field discipline uniform), unwind
-  // outside it: UnwindFiber switches into the parked stack, and the rank
-  // checker forbids holding a lock across that.
+  // session anymore. Collect under the locks (uncontended now, but they
+  // keep the guarded-field discipline uniform), unwind outside them:
+  // UnwindFiber switches into the parked stack, and the rank checker
+  // forbids holding a lock across that.
   std::vector<SessionState*> parked;
-  {
-    MutexLock lock(&mutex_);
-    for (auto& [id, state] : sessions_) {
+  for (const auto& owned : shards_) {
+    Shard& shard = *owned;
+    MutexLock lock(&shard.mutex);
+    for (auto& [id, state] : shard.sessions) {
       if (state->fiber != nullptr) parked.push_back(state.get());
     }
   }
@@ -127,6 +121,17 @@ void SessionRouter::UnwindFiber(SessionState* state) {
   state->fiber_cancel = false;
 }
 
+SessionRouter::Shard* SessionRouter::ShardOf(SessionId id) const {
+  // Ids ≤ 0 land on some shard too; no session is ever stored under one,
+  // so every call with such an id finds nothing there.
+  return shards_[static_cast<uint64_t>(id) % shards_.size()].get();
+}
+
+SessionRouter::SessionState* SessionRouter::Shard::Find(SessionId id) {
+  auto it = sessions.find(id);
+  return it == sessions.end() ? nullptr : it->second.get();
+}
+
 SessionRouter::SessionId SessionRouter::AddSession(
     SessionId id, int n, MembershipOracle* user,
     std::unique_ptr<MembershipOracle> owned_backend,
@@ -136,24 +141,23 @@ SessionRouter::SessionId SessionRouter::AddSession(
   state->session = std::make_unique<QuerySession>(n, user, options_.session);
   state->owned_backend = std::move(owned_backend);
   state->pending_backend = pending_backend;
-  MutexLock lock(&mutex_);
-  if (id == 0) id = next_id_++;
-  if (!sessions_.try_emplace(id, std::move(state)).second) return 0;
+  if (id == 0) id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  Shard* shard = ShardOf(id);
+  MutexLock lock(&shard->mutex);
+  if (!shard->sessions.try_emplace(id, std::move(state)).second) return 0;
   return id;
 }
 
-SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user,
-                                             SessionId id) {
+SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user) {
   QHORN_CHECK(user != nullptr);
-  return AddSession(id, n, user, nullptr, nullptr);
+  return AddSession(0, n, user, nullptr, nullptr);
 }
 
 SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
-                                                      EvalOptions opts,
-                                                      SessionId id) {
-  auto backend = std::make_unique<AsyncOracle>(cache_->Get(intended, opts));
+                                                      EvalOptions opts) {
+  auto backend = std::make_unique<AsyncOracle>(cache_.Get(intended, opts));
   MembershipOracle* user = backend.get();
-  return AddSession(id, intended.n(), user, std::move(backend), nullptr);
+  return AddSession(0, intended.n(), user, std::move(backend), nullptr);
 }
 
 SessionRouter::SessionId SessionRouter::OpenPending(int n, SessionId id) {
@@ -167,23 +171,17 @@ SessionRouter::SessionId SessionRouter::OpenPending(int n, SessionId id) {
   return id;
 }
 
-SessionRouter::SessionState* SessionRouter::FindSession(SessionId id) {
-  auto it = sessions_.find(id);
-  QHORN_CHECK_MSG(it != sessions_.end(), "no session " << id);
-  return it->second.get();
-}
-
-void SessionRouter::CompleteJob(JobKind kind) {
-  ++jobs_done_;
+void SessionRouter::Shard::CompleteJob(JobKind kind) {
+  ++jobs_done;
   switch (kind) {
     case JobKind::kLearn:
-      ++learns_;
+      ++learns;
       break;
     case JobKind::kVerify:
-      ++verifies_;
+      ++verifies;
       break;
     case JobKind::kRevise:
-      ++revisions_;
+      ++revisions;
       break;
     case JobKind::kOther:
       break;
@@ -196,55 +194,49 @@ bool SessionRouter::Submit(SessionId id, Job job) {
 
 bool SessionRouter::SubmitJob(SessionId id, Job job, JobKind kind) {
   QHORN_CHECK(job != nullptr);
+  Shard* shard = ShardOf(id);
   SessionState* state = nullptr;
   bool start_runner = false;
   bool pending = false;
   {
-    MutexLock lock(&mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return false;
-    state = it->second.get();
-    if (state->closed) return false;
+    MutexLock lock(&shard->mutex);
+    state = shard->Find(id);
+    if (state == nullptr || state->closed) return false;
     pending = state->pending_backend != nullptr;
     if (pending) {
       state->job_log.push_back(JobRecord{std::move(job), kind});
-      // A session blocked on its user cannot progress: the job waits in
-      // the log, uncounted, until ProvideAnswers makes it runnable.
-      if (!state->pending_round.has_value()) {
-        ++runnable_jobs_;
-        if (!state->running) {
-          state->running = true;
-          start_runner = true;
-        }
-      }
     } else {
       state->queue.push_back(JobRecord{std::move(job), kind});
-      ++runnable_jobs_;
-      if (!state->running) {
-        state->running = true;
-        start_runner = true;
-      }
+    }
+    // A session blocked on its user cannot progress: the job waits in the
+    // log, uncounted, until ProvideAnswers makes it runnable. Only pending
+    // sessions ever block.
+    if (!state->pending_round.has_value()) {
+      ++shard->runnable_jobs;
+      start_runner = !state->running;
+      state->running = true;
     }
   }
   // Post outside the lock: at concurrency 1 the executor runs the task
   // inline, and the runner re-acquires the mutex.
   if (start_runner) {
     if (pending) {
-      exec_->Post([this, state] { RunPendingSession(state); });
+      executor_->Post(
+          [this, shard, state] { RunPendingSession(shard, state); });
     } else {
-      exec_->Post([this, state] { RunSession(state); });
+      executor_->Post([this, shard, state] { RunSession(shard, state); });
     }
   }
   return true;
 }
 
-void SessionRouter::RunSession(SessionState* state) {
+void SessionRouter::RunSession(Shard* shard, SessionState* state) {
   // The runner owns the session until its queue drains; other sessions'
   // runners proceed in parallel on other lanes.
   for (;;) {
     JobRecord job;
     {
-      MutexLock lock(&mutex_);
+      MutexLock lock(&shard->mutex);
       if (state->queue.empty()) {
         state->running = false;
         return;
@@ -256,35 +248,36 @@ void SessionRouter::RunSession(SessionState* state) {
     bool idle = false;
     bool finished = false;
     {
-      MutexLock lock(&mutex_);
-      CompleteJob(job.kind);
+      MutexLock lock(&shard->mutex);
+      shard->CompleteJob(job.kind);
       // Release ownership in the same critical section that lets Drain
       // return: a drained router must already report every session idle.
       if (state->queue.empty()) {
         state->running = false;
         finished = true;
       }
-      idle = --runnable_jobs_ == 0;
+      idle = --shard->runnable_jobs == 0;
     }
-    if (idle) idle_cv_.NotifyAll();
+    if (idle) shard->idle_cv.NotifyAll();
     if (finished) return;
   }
 }
 
-void SessionRouter::RunPendingSession(SessionState* state) {
+void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
   // The attempt loop. The job log runs inside a Fiber whose suspension
   // hook *parks* (switches back here), so a resume re-enters the exact
   // frame that asked the question — no rebuild, no replay, no re-walk. The
   // body only fetches jobs and runs them; every piece of completion
   // bookkeeping happens on this (host) side of the switch, after Resume()
-  // returns, so counters and the running flag change under mutex_.
+  // returns, so counters and the running flag change under the shard
+  // mutex.
   for (;;) {
     bool resume_parked = false;
     bool cancel_parked = false;
     int64_t next_round = 0;
     size_t start_job = 0;
     {
-      MutexLock lock(&mutex_);
+      MutexLock lock(&shard->mutex);
       resume_parked = state->fiber != nullptr;
       cancel_parked = resume_parked && state->fiber_cancel;
       if (!resume_parked && state->jobs_completed >= state->job_log.size()) {
@@ -315,27 +308,28 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       // completed (first run, or a correction restart) it is rebuilt with
       // the full answered prefix replayed — the only quadratic path, paid
       // once per correction rather than once per round. The copy runs
-      // outside mutex_: answered_entries only mutates in ProvideAnswers and
-      // CorrectAnswer, which require awaiting, and this runner owns the
-      // session until it parks.
+      // outside the shard mutex: answered_entries only mutates in
+      // ProvideAnswers and CorrectAnswer, which require awaiting, and this
+      // runner owns the session until it parks.
       if (start_job == 0) {
         std::vector<TranscriptEntry> prefix = state->answered_entries;
         state->session->ResetWithUserReplay(std::move(prefix));
       }
       state->pending_backend->BeginAttempt(next_round);
       state->fiber_jobs_run = start_job;
-      auto fiber = std::make_unique<Fiber>([this, state, start_job] {
+      auto fiber = std::make_unique<Fiber>([this, shard, state, start_job] {
         try {
           for (size_t i = start_job;; ++i) {
             JobRecord job;
             {
-              MutexLock lock(&mutex_);
+              MutexLock lock(&shard->mutex);
               if (i >= state->job_log.size()) return;
               job = state->job_log[i];  // copy: the log outlives the run
             }
             job.fn(*state->session);
             // Runner-owned cursor, read by the host after the switch back
-            // (same-thread, or ordered through mutex_ on a lane handoff).
+            // (same-thread, or ordered through the shard mutex on a lane
+            // handoff).
             state->fiber_jobs_run = i + 1;
           }
         } catch (const JobSuspended&) {
@@ -359,19 +353,19 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       bool idle = false;
       bool done = false;
       {
-        MutexLock lock(&mutex_);
+        MutexLock lock(&shard->mutex);
         while (state->jobs_completed < jobs_run) {
-          CompleteJob(state->job_log[state->jobs_completed].kind);
+          shard->CompleteJob(state->job_log[state->jobs_completed].kind);
           ++state->jobs_completed;
-          --runnable_jobs_;
+          --shard->runnable_jobs;
         }
         if (state->jobs_completed >= state->job_log.size()) {
           state->running = false;
           done = true;
-          idle = runnable_jobs_ == 0;
+          idle = shard->runnable_jobs == 0;
         }
       }
-      if (idle) idle_cv_.NotifyAll();
+      if (idle) shard->idle_cv.NotifyAll();
       if (done) return;
       continue;  // jobs arrived while the body was finishing
     }
@@ -385,32 +379,32 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     bool idle = false;
     bool abandoned = false;
     {
-      MutexLock lock(&mutex_);
+      MutexLock lock(&shard->mutex);
       while (state->jobs_completed < jobs_run) {
-        CompleteJob(state->job_log[state->jobs_completed].kind);
+        shard->CompleteJob(state->job_log[state->jobs_completed].kind);
         ++state->jobs_completed;
-        --runnable_jobs_;
+        --shard->runnable_jobs;
       }
       ++state->suspensions;
-      ++suspensions_;
+      ++shard->suspensions;
       // Everything this session still owes can no longer progress
       // without the user; Drain must not wait for it.
-      runnable_jobs_ -= static_cast<int64_t>(state->job_log.size() -
-                                             state->jobs_completed);
-      idle = runnable_jobs_ == 0;
+      shard->runnable_jobs -= static_cast<int64_t>(state->job_log.size() -
+                                                   state->jobs_completed);
+      idle = shard->runnable_jobs == 0;
       if (state->closed) {
         // Closed mid-run: abandon the round; the session never resumes.
         (void)state->pending_backend->TakePending();
         abandoned = true;
       } else {
-        // Published in the same critical section as runnable_jobs_'s
+        // Published in the same critical section as runnable_jobs's
         // decrement, so Drain-then-poll observes every parked round.
         state->pending_round = state->pending_backend->TakePending();
         state->snapshot_bytes = resident;
       }
       state->running = false;
     }
-    if (idle) idle_cv_.NotifyAll();
+    if (idle) shard->idle_cv.NotifyAll();
     // A closed session's parked stack unwinds right here — no resume can
     // ever come. Safe after releasing ownership: closed sessions reject
     // Submit/ProvideAnswers, so no other runner can be posted.
@@ -444,9 +438,10 @@ bool SessionRouter::SubmitRevise(SessionId id, Query candidate) {
 
 std::vector<PendingRound> SessionRouter::PendingRounds() {
   std::vector<PendingRound> rounds;
-  {
-    MutexLock lock(&mutex_);
-    for (const auto& [id, state] : sessions_) {
+  for (const auto& owned : shards_) {
+    Shard& shard = *owned;
+    MutexLock lock(&shard.mutex);
+    for (const auto& [id, state] : shard.sessions) {
       if (state->pending_round.has_value()) {
         rounds.push_back(*state->pending_round);
       }
@@ -459,26 +454,34 @@ std::vector<PendingRound> SessionRouter::PendingRounds() {
   return rounds;
 }
 
+namespace {
+
+bool CommitUnconditionally() { return true; }
+
+/// A commit hook runs under exactly one shard mutex: a hook reaching into
+/// a second shard dies on the same-rank check instead.
+bool RunCommitHook(SessionRouter::CommitHook commit) {
+  LockRankChecker::AssertHeldCountAtRank(LockRank::kRouterShard, 1,
+                                         "a DurableRouter commit hook");
+  return commit();
+}
+
+}  // namespace
+
 ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers) {
-  return AcceptAnswers(id, round_id, answers, nullptr);
+  return ProvideAnswers(id, round_id, answers, CommitUnconditionally);
 }
 
 ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers,
                                              CommitHook commit) {
-  return AcceptAnswers(id, round_id, answers, &commit);
-}
-
-ProvideOutcome SessionRouter::AcceptAnswers(SessionId id, int64_t round_id,
-                                            BitSpan answers,
-                                            CommitHook* commit) {
+  Shard* shard = ShardOf(id);
   SessionState* state = nullptr;
   {
-    MutexLock lock(&mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return ProvideOutcome::kUnknownSession;
-    state = it->second.get();
+    MutexLock lock(&shard->mutex);
+    state = shard->Find(id);
+    if (state == nullptr) return ProvideOutcome::kUnknownSession;
     if (state->closed) return ProvideOutcome::kSessionClosed;
     if (!state->pending_round.has_value()) {
       return ProvideOutcome::kNotAwaiting;
@@ -489,21 +492,13 @@ ProvideOutcome SessionRouter::AcceptAnswers(SessionId id, int64_t round_id,
       return ProvideOutcome::kAnswerCountMismatch;
     }
     // Validations passed — the write-ahead barrier runs here, under the
-    // lock, so the logged record and the fold it authorizes are one
-    // atomic step as seen by every other router call. A veto leaves the
-    // session exactly as it was (the round stays pending, the same call
-    // can be retried once the log is healthy). The PR 9 sharding
-    // invariant — a DurableRouter commit hook runs under exactly one
-    // shard's mutex — is what lets the hook append to this shard's WAL
-    // without cross-shard ordering concerns; the rank checker enforces it
-    // (a hook reaching into a second shard dies on the same-rank check).
-    if (commit != nullptr) {
-      LockRankChecker::AssertHeldCountAtRank(LockRank::kRouterShard, 1,
-                                             "a DurableRouter commit hook");
-      if (!(*commit)()) {
-        return ProvideOutcome::kLogWriteFailed;
-      }
-    }
+    // shard mutex, so the logged record and the fold it authorizes are
+    // one atomic step as seen by every other router call. A veto leaves
+    // the session exactly as it was (the round stays pending, the same
+    // call can be retried once the log is healthy). Holding exactly one
+    // shard mutex is what lets the hook append to this session's WAL
+    // without cross-shard ordering concerns.
+    if (!RunCommitHook(commit)) return ProvideOutcome::kLogWriteFailed;
     // Accepted: fold the answered round into the user-boundary transcript
     // and make the session runnable again.
     // Stage the bits for the parked continuation: the runner hands them
@@ -518,21 +513,21 @@ ProvideOutcome SessionRouter::AcceptAnswers(SessionId id, int64_t round_id,
     }
     ++state->answered_rounds;
     state->pending_round.reset();
-    runnable_jobs_ += static_cast<int64_t>(state->job_log.size() -
-                                           state->jobs_completed);
+    shard->runnable_jobs += static_cast<int64_t>(state->job_log.size() -
+                                                 state->jobs_completed);
     state->running = true;
   }
-  exec_->Post([this, state] { RunPendingSession(state); });
+  executor_->Post([this, shard, state] { RunPendingSession(shard, state); });
   return ProvideOutcome::kResumed;
 }
 
 ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
+  Shard* shard = ShardOf(id);
   SessionState* state = nullptr;
   {
-    MutexLock lock(&mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return ProvideOutcome::kUnknownSession;
-    state = it->second.get();
+    MutexLock lock(&shard->mutex);
+    state = shard->Find(id);
+    if (state == nullptr) return ProvideOutcome::kUnknownSession;
     if (state->closed) return ProvideOutcome::kSessionClosed;
     if (!state->pending_round.has_value()) {
       return ProvideOutcome::kNotAwaiting;
@@ -563,27 +558,34 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     state->fiber_cancel = state->fiber != nullptr;
     state->staged_answers.clear();
     state->pending_round.reset();
-    runnable_jobs_ += static_cast<int64_t>(state->job_log.size());
+    shard->runnable_jobs += static_cast<int64_t>(state->job_log.size());
     state->running = true;
-    ++corrections_;
+    ++shard->corrections;
   }
-  exec_->Post([this, state] { RunPendingSession(state); });
+  executor_->Post([this, shard, state] { RunPendingSession(shard, state); });
   return ProvideOutcome::kResumed;
 }
 
-std::optional<PendingRound> SessionRouter::pending_round(SessionId id) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return std::nullopt;
-  return it->second->pending_round;
+std::optional<PendingRound> SessionRouter::pending_round(SessionId id) const {
+  Shard* shard = ShardOf(id);
+  MutexLock lock(&shard->mutex);
+  const SessionState* state = shard->Find(id);
+  if (state == nullptr) return std::nullopt;
+  return state->pending_round;
 }
 
 bool SessionRouter::Close(SessionId id) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  SessionState* state = it->second.get();
-  if (state->closed) return false;
+  return Close(id, CommitUnconditionally);
+}
+
+bool SessionRouter::Close(SessionId id, CommitHook commit) {
+  Shard* shard = ShardOf(id);
+  MutexLock lock(&shard->mutex);
+  SessionState* state = shard->Find(id);
+  if (state == nullptr || state->closed) return false;
+  // Same write-ahead barrier as ProvideAnswers: only a close that takes
+  // effect is logged, and two racing closes log once.
+  if (!RunCommitHook(commit)) return false;
   state->closed = true;
   // The user will never answer; abandon any pending round. The session's
   // uncompleted jobs were uncounted at suspension, so nothing waits.
@@ -591,62 +593,74 @@ bool SessionRouter::Close(SessionId id) {
   return true;
 }
 
-std::optional<SessionStatus> SessionRouter::status(SessionId id) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return std::nullopt;
-  const SessionState* state = it->second.get();
+std::optional<SessionStatus> SessionRouter::status(SessionId id) const {
+  Shard* shard = ShardOf(id);
+  MutexLock lock(&shard->mutex);
+  const SessionState* state = shard->Find(id);
+  if (state == nullptr) return std::nullopt;
   if (state->pending_round.has_value()) return SessionStatus::kAwaitingUser;
   if (state->running || !state->queue.empty()) return SessionStatus::kRunning;
   return SessionStatus::kIdle;
 }
 
-int64_t SessionRouter::suspensions(SessionId id) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? -1 : it->second->suspensions;
+int64_t SessionRouter::suspensions(SessionId id) const {
+  Shard* shard = ShardOf(id);
+  MutexLock lock(&shard->mutex);
+  const SessionState* state = shard->Find(id);
+  return state == nullptr ? -1 : state->suspensions;
 }
 
 void SessionRouter::Drain() {
-  MutexLock lock(&mutex_);
-  // Explicit predicate loop (not a wait(pred) lambda) so the guarded read
-  // of runnable_jobs_ happens in a scope thread-safety analysis can see
-  // holds mutex_.
-  while (runnable_jobs_ != 0) {
-    idle_cv_.Wait(&mutex_);
+  // One pass suffices: a job never creates work on another shard.
+  for (const auto& owned : shards_) {
+    Shard& shard = *owned;
+    MutexLock lock(&shard.mutex);
+    // Explicit predicate loop (not a wait(pred) lambda) so the guarded
+    // read of runnable_jobs happens in a scope thread-safety analysis can
+    // see holds the mutex.
+    while (shard.runnable_jobs != 0) {
+      shard.idle_cv.Wait(&shard.mutex);
+    }
   }
 }
 
 QuerySession& SessionRouter::session(SessionId id) {
-  MutexLock lock(&mutex_);
-  return *FindSession(id)->session;
+  Shard* shard = ShardOf(id);
+  MutexLock lock(&shard->mutex);
+  SessionState* state = shard->Find(id);
+  QHORN_CHECK_MSG(state != nullptr, "no session " << id);
+  return *state->session;
 }
 
 ServiceStats SessionRouter::stats() {
-  MutexLock lock(&mutex_);
-  QHORN_CHECK_MSG(runnable_jobs_ == 0, "stats() requires an idle router");
   ServiceStats stats;
-  stats.sessions = static_cast<int64_t>(sessions_.size());
-  stats.jobs = jobs_done_;
-  stats.learns = learns_;
-  stats.verifies = verifies_;
-  stats.revisions = revisions_;
-  stats.suspensions = suspensions_;
-  stats.corrections = corrections_;
-  for (const auto& [id, state] : sessions_) {
-    const OracleStats& os = state->session->oracle_stats();
-    stats.questions += os.questions;
-    stats.batched_questions += os.batched_questions;
-    stats.rounds += state->session->rounds();
-    stats.cache_hits += state->session->cache_hits();
-    stats.replayed_questions += state->session->user_questions_replayed();
-    if (state->pending_round.has_value()) {
-      ++stats.awaiting_sessions;
-      stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
+  for (const auto& owned : shards_) {
+    Shard& shard = *owned;
+    MutexLock lock(&shard.mutex);
+    QHORN_CHECK_MSG(shard.runnable_jobs == 0,
+                    "stats() requires an idle router");
+    stats.sessions += static_cast<int64_t>(shard.sessions.size());
+    stats.jobs += shard.jobs_done;
+    stats.learns += shard.learns;
+    stats.verifies += shard.verifies;
+    stats.revisions += shard.revisions;
+    stats.suspensions += shard.suspensions;
+    stats.corrections += shard.corrections;
+    for (const auto& [id, state] : shard.sessions) {
+      const OracleStats& os = state->session->oracle_stats();
+      stats.questions += os.questions;
+      stats.batched_questions += os.batched_questions;
+      stats.rounds += state->session->rounds();
+      stats.cache_hits += state->session->cache_hits();
+      stats.replayed_questions += state->session->user_questions_replayed();
+      if (state->pending_round.has_value()) {
+        ++stats.awaiting_sessions;
+        stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
+      }
     }
   }
-  stats.compiled_hits = cache_->hits();
-  stats.compiled_misses = cache_->misses();
+  stats.compiled_hits = cache_.hits();
+  stats.compiled_misses = cache_.misses();
   return stats;
 }
 

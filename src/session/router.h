@@ -16,6 +16,34 @@
 //     queries compile each query once. Their AsyncOracle backends evaluate
 //     each round inline on the session's lane.
 //
+// Shards: the session space is split across Options::shards shards, each
+// with its own mutex, session map, runnable-job count and counters.
+// Session id i lives on shard i % shards under id i itself, and every
+// id-taking call locks only that shard, so protocol calls against
+// different shards never touch a shared lock. Shared across the shards,
+// deliberately the cheap-to-share part: one Executor (Options.threads is
+// the total lane count), one CompiledQueryCache (a query compiled once is
+// compiled once service-wide; only OpenSimulated touches it, once per
+// open) and one atomic id counter. Drain(), PendingRounds() and stats()
+// walk the shards one after another; a job never creates work on another
+// shard, so one pass suffices. Observables never depend on the shard
+// count — that is the differential the shard suites and the fuzz sweep
+// pin.
+//
+// Scaling model: throughput ≈ min(lanes, shards × per-shard capacity).
+// Shards bound protocol-call parallelism (mutex acquisitions spread
+// across N locks); lanes bound compute parallelism; pending sessions are
+// bounded by memory alone (a parked session holds no lane).
+//
+// Lock order (enforced at runtime by the rank checker, src/util/
+// lock_ranks.h): a protocol call holds at most one shard mutex
+// (kRouterShard) → that session's WAL shard (kWalShard, from a
+// DurableRouter commit hook) → the filesystem (kFaultFs/kFs). Same-rank
+// nesting is forbidden, so no path may hold two shard mutexes at once —
+// cross-shard deadlock is structurally impossible, and a commit hook runs
+// under exactly one shard mutex (asserted where the hooks run). Id
+// assignment is one atomic counter and takes no lock.
+//
 // Pending-round continuations (OpenPending): a *real* user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
 // lane. Sessions opened with OpenPending run over a PendingOracle backend
@@ -42,12 +70,13 @@
 // restart path of its own: it re-opens each session and feeds the logged
 // answers back through ProvideAnswers.
 //
-// Determinism contract (unchanged by continuations): a session's
-// observable history depends only on its own job sequence and answer
-// sequence, never on scheduling or on how often it suspended — after the
-// final resume, per-session transcripts, statistics and learned queries
-// are bit-identical to a fully synchronous single-threaded run of the
-// same jobs over the same answers (tests/service_router_test.cc and
+// Determinism contract (unchanged by continuations and shards): a
+// session's observable history depends only on its own job sequence and
+// answer sequence, never on scheduling, on which shard hosts it or on how
+// often it suspended — after the final resume, per-session transcripts,
+// statistics and learned queries are bit-identical to a fully synchronous
+// single-threaded run of the same jobs over the same answers
+// (tests/service_router_test.cc, tests/router_shard_test.cc and
 // tests/continuation_stress_test.cc stress this with up to 256 sessions).
 //
 // An embedding server has two ways to plug a real user in: synchronously,
@@ -59,6 +88,7 @@
 #ifndef QHORN_SESSION_ROUTER_H_
 #define QHORN_SESSION_ROUTER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -81,9 +111,9 @@ namespace qhorn {
 /// Shared compiled-query store. Keyed by (canonical form, guarantee mode):
 /// equal keys evaluate identically object for object, so sessions sharing
 /// an entry are indistinguishable from sessions compiling their own.
-/// Thread-safe; the returned compiled forms are immutable. Sessions across
-/// every router shard share one instance (a query compiled once is
-/// compiled once service-wide). One leaf mutex guards the map and the
+/// Thread-safe; the returned compiled forms are immutable. Every shard of
+/// a router shares its one instance (a query compiled once is compiled
+/// once service-wide). One leaf mutex guards the map and the
 /// counters: Get runs once per OpenSimulated, on the opening thread, and
 /// compiles outside the lock.
 class CompiledQueryCache {
@@ -170,7 +200,10 @@ enum class ProvideOutcome {
 
 const char* ToString(ProvideOutcome o);
 
-/// Multiplexes concurrent QuerySessions over a shared executor.
+/// Multiplexes concurrent QuerySessions over a shared executor, split
+/// across router shards (see the file comment). Every id-taking call is
+/// tolerant of garbage ids (unknown session / false / nullopt, never a
+/// crash).
 class SessionRouter {
  public:
   using SessionId = int64_t;
@@ -187,56 +220,51 @@ class SessionRouter {
     /// QHORN_THREADS). 1 degrades to synchronous in-caller execution —
     /// the differential baseline. The router sizes its executor one lane
     /// wider than this, since the thread that submits jobs sleeps in
-    /// Drain() rather than running them. Ignored when `executor` is set.
+    /// Drain() rather than running them. The total across all shards.
     int threads = 0;
+    /// Router shards (≥ 1): session id i lives on shard i % shards. 1 is
+    /// the differential baseline; production wants a small multiple of
+    /// the lane count.
+    int shards = 1;
     QuerySession::Options session;
     /// Not read: kFiber is the only protocol. Kept so callers that set it
     /// still compile.
     ResumeMode resume_mode = ResumeMode::kFiber;
-    /// Borrowed executor (how ShardedRouter shares one pool across its
-    /// shards). Non-null: the router posts to it instead of owning a pool,
-    /// `threads` is ignored, and the *owner* must keep the executor alive
-    /// — and joined — past this router's destruction (drain every sharing
-    /// router, destroy the executor, then the routers; see
-    /// ShardedRouter::~ShardedRouter for the canonical order).
-    Executor* executor = nullptr;
-    /// Borrowed compiled-query cache (shared across router shards so a
-    /// query compiles once service-wide). Non-null: used instead of the
-    /// router-owned cache; must outlive the router.
-    CompiledQueryCache* compiled_cache = nullptr;
   };
 
   SessionRouter();
   explicit SessionRouter(Options options);
-  /// Drains outstanding runnable jobs before shutting the executor down.
-  /// Sessions still awaiting user answers are abandoned (their pending
+  /// Drains every shard, joins the executor, and only then unwinds the
+  /// fibers still parked on rounds nobody will answer (their pending
   /// rounds die with the router).
   ~SessionRouter();
 
   SessionRouter(const SessionRouter&) = delete;
   SessionRouter& operator=(const SessionRouter&) = delete;
 
-  // Every open takes an optional `id`. 0 assigns the next id (1, 2, … in
-  // open order). A positive id opens the session under that id — how the
-  // layers above store a session under the id they assigned — and the
-  // open returns 0 (opening nothing) if the id is taken or negative. A
-  // caller that assigns ids assigns all of them.
+  // Opens assign the next id (1, 2, … in open order, from one atomic
+  // counter) and place the session on shard id % shards.
 
   /// Opens a session over a caller-owned user oracle. The oracle must
   /// outlive the router and is used only from this session's jobs (one at
   /// a time), so it need not be thread-safe — but it must not be shared
   /// with another session.
-  SessionId Open(int n, MembershipOracle* user, SessionId id = 0);
+  SessionId Open(int n, MembershipOracle* user);
 
   /// Opens a session against a simulated user holding `intended`: the
   /// compiled form comes from the shared cache (AsyncOracle backend). The
   /// router owns the backend.
   SessionId OpenSimulated(const Query& intended,
-                          EvalOptions opts = EvalOptions(), SessionId id = 0);
+                          EvalOptions opts = EvalOptions());
 
   /// Opens a session over a *pending* (real, asynchronous) user: every
   /// round suspends the job and surfaces through PendingRounds() until
   /// ProvideAnswers feeds the labels back. The router owns the backend.
+  /// A positive `id` opens the session under that caller-assigned id
+  /// instead (DurableRouter's, already logged); 0 is returned, and
+  /// nothing opened, if the id is taken or negative. A caller that
+  /// assigns ids assigns all of them: the counter does not skip ids it
+  /// did not hand out.
   SessionId OpenPending(int n, SessionId id = 0);
 
   /// Enqueues a job for the session. Jobs of one session run in
@@ -254,12 +282,13 @@ class SessionRouter {
   /// The embedding server's poll: render each round's questions to its
   /// user, then call ProvideAnswers with the labels.
   ///
-  /// Copies every awaiting session's round under the router mutex, so the
-  /// result is exact at one instant, even alongside live runners: a round
-  /// is listed from the critical section that parks it until the one that
-  /// answers, corrects or closes it. A reply to a round answered since
-  /// the poll bounces off kStaleRound/kNotAwaiting, like any hostile
-  /// duplicate.
+  /// Copies every awaiting session's round under its shard's mutex, so
+  /// each shard's part is exact at one instant, even alongside live
+  /// runners: a round is listed from the critical section that parks it
+  /// until the one that answers, corrects or closes it. Shards are polled
+  /// one after another, never under two shard mutexes at once. A reply to
+  /// a round answered since the poll bounces off kStaleRound/kNotAwaiting,
+  /// like any hostile duplicate.
   std::vector<PendingRound> PendingRounds();
 
   /// Feeds a user's labels back into a suspended session. `round_id` must
@@ -274,15 +303,16 @@ class SessionRouter {
 
   /// A durable wrapper's write-ahead barrier: invoked once, after every
   /// validation has passed and before any state mutates, while the call
-  /// still holds the router lock (so no concurrent call can interleave
-  /// between the hook and the fold). Return false to veto: the call
-  /// reports kLogWriteFailed and the session — pending round included —
-  /// is exactly as it was, so the caller may retry the identical call
-  /// once its log is healthy again.
+  /// still holds the session's shard mutex — and no other shard's — so no
+  /// concurrent call can interleave between the hook and the mutation.
+  /// Return false to veto: the call reports failure and the session —
+  /// pending round included — is exactly as it was, so the caller may
+  /// retry the identical call once its log is healthy again.
   using CommitHook = FunctionRef<bool()>;
 
   /// ProvideAnswers with a durable commit barrier (DurableRouter's path;
-  /// the three-argument form commits unconditionally).
+  /// the three-argument form commits unconditionally). A veto reports
+  /// kLogWriteFailed.
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
                                 BitSpan answers, CommitHook commit);
 
@@ -319,7 +349,7 @@ class SessionRouter {
   /// closed, or not-awaiting sessions. A copy, so the recovery replay can
   /// match surfaced rounds against logged answers without racing the
   /// runner.
-  std::optional<PendingRound> pending_round(SessionId id);
+  std::optional<PendingRound> pending_round(SessionId id) const;
 
   /// Marks a session closed: subsequent Submit/ProvideAnswers are
   /// rejected. A pending round awaiting answers is abandoned; already
@@ -327,18 +357,23 @@ class SessionRouter {
   /// unknown or already-closed id.
   bool Close(SessionId id);
 
+  /// Close with a durable commit barrier: the hook runs only for a close
+  /// that would succeed, so a refused close is never logged. A veto
+  /// returns false with the session still open.
+  bool Close(SessionId id, CommitHook commit);
+
   /// The session's lifecycle state, for the embedding server's dashboard
   /// (and the continuation tests). Like every id-taking protocol call,
   /// tolerant of garbage: nullopt for an unknown id.
-  std::optional<SessionStatus> status(SessionId id);
+  std::optional<SessionStatus> status(SessionId id) const;
 
   /// Times this session yielded its lane on a pending round so far;
   /// -1 for an unknown id.
-  int64_t suspensions(SessionId id);
+  int64_t suspensions(SessionId id) const;
 
-  /// Blocks until no session can make progress without more input: every
-  /// session is idle or awaiting user answers. With pending sessions in
-  /// play the idiom is a poll loop —
+  /// Blocks until no session on any shard can make progress without more
+  /// input: every session is idle or awaiting user answers. With pending
+  /// sessions in play the idiom is a poll loop —
   ///   for (;;) { router.Drain();
   ///              auto rounds = router.PendingRounds();
   ///              if (rounds.empty()) break;
@@ -353,12 +388,12 @@ class SessionRouter {
   /// synchronous run's.
   QuerySession& session(SessionId id);
 
-  /// Aggregate counters. Requires no runnable job (call after Drain;
+  /// Aggregate counters summed across shards, the shared compiled-query
+  /// cache counted once. Requires no runnable job (call after Drain;
   /// sessions awaiting user answers are fine).
   ServiceStats stats();
 
-  Executor* executor() { return exec_; }
-  CompiledQueryCache& compiled_cache() { return *cache_; }
+  Executor* executor() const { return executor_.get(); }
 
  private:
   enum class JobKind { kOther, kLearn, kVerify, kRevise };
@@ -367,18 +402,17 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  // Locking protocol: the map shape, queue, job log, counters, the
-  // pending round and the running/closed flags are guarded by the
-  // router's mutex_; PendingRounds reads them under it too.
+  // Locking protocol: the queue, job log, the pending round and the
+  // running/closed flags are guarded by the mutex of the shard that
+  // hosts the session; PendingRounds reads them under it too.
   // The resume-state fields (answered_entries, staged_answers, fiber*)
   // follow an ownership handoff instead: while `running` is true they
   // belong exclusively to the runner task and are read/written without
   // the lock — a protocol thread-safety analysis cannot express (TSA has
-  // no "guarded by mutex_ OR owned by the runner"), and a nested struct
-  // cannot name the enclosing router's mutex_ in a QHORN_GUARDED_BY
-  // anyway. The per-field comments say which regime each field is under;
-  // the cross-thread edges are TSan-covered by the continuation stress
-  // suites.
+  // no "guarded by mutex OR owned by the runner"), and a session cannot
+  // name its shard's mutex in a QHORN_GUARDED_BY anyway. The per-field
+  // comments say which regime each field is under; the cross-thread edges
+  // are TSan-covered by the continuation stress suites.
   struct SessionState {
     std::unique_ptr<QuerySession> session;
     std::unique_ptr<MembershipOracle> owned_backend;  // OpenSimulated/Pending
@@ -416,63 +450,66 @@ class SessionRouter {
     bool closed = false;
   };
 
+  /// One shard: a mutex over its slice of the session space, and the
+  /// counters bumped by that slice's runners (stats() sums them).
+  struct Shard {
+    // Guards the session map's shape, the per-session bookkeeping (see
+    // SessionState for the runner-owned exceptions) and the counters. A
+    // DurableRouter commit hook runs while exactly one shard mutex is
+    // held (LockRank::kRouterShard; asserted where the hooks run).
+    Mutex mutex{"router-shard", LockRank::kRouterShard};
+    CondVar idle_cv;
+    std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions
+        QHORN_GUARDED_BY(mutex);
+    // Jobs that can make progress right now: queued + running jobs of
+    // direct sessions, plus uncompleted jobs of pending sessions that are
+    // not blocked on a user. A suspension subtracts its session's
+    // uncompleted jobs; ProvideAnswers adds them back. Drain waits for 0.
+    int64_t runnable_jobs QHORN_GUARDED_BY(mutex) = 0;
+    // Counters bumped at job completion (stats() folds in session
+    // counters).
+    int64_t jobs_done QHORN_GUARDED_BY(mutex) = 0;
+    int64_t learns QHORN_GUARDED_BY(mutex) = 0;
+    int64_t verifies QHORN_GUARDED_BY(mutex) = 0;
+    int64_t revisions QHORN_GUARDED_BY(mutex) = 0;
+    int64_t suspensions QHORN_GUARDED_BY(mutex) = 0;
+    int64_t corrections QHORN_GUARDED_BY(mutex) = 0;
+
+    /// The session stored under `id`, or nullptr.
+    SessionState* Find(SessionId id) QHORN_REQUIRES(mutex);
+    /// Bumps jobs_done and the per-kind counter.
+    void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex);
+  };
+
+  /// The shard hosting `id`: shard id % shards. Never null.
+  Shard* ShardOf(SessionId id) const;
   /// Stores a new session under `id` (0: the next id). Returns the id, or
   /// 0 when a caller-chosen id is taken or negative.
   SessionId AddSession(SessionId id, int n, MembershipOracle* user,
                        std::unique_ptr<MembershipOracle> owned_backend,
                        PendingOracle* pending_backend);
   bool SubmitJob(SessionId id, Job job, JobKind kind);
-  /// Shared body of both ProvideAnswers overloads; `commit` null means
-  /// commit unconditionally (FunctionRef itself is non-nullable).
-  ProvideOutcome AcceptAnswers(SessionId id, int64_t round_id,
-                               BitSpan answers, CommitHook* commit);
   /// Executor task: runs a direct session's queued jobs until the queue is
   /// empty, then releases ownership.
-  void RunSession(SessionState* state);
+  void RunSession(Shard* shard, SessionState* state);
   /// Executor task for a pending session: resumes the parked continuation
   /// (or starts a fresh attempt on a new fiber), then either publishes the
   /// round it parked on and releases the lane, or folds the completed jobs
-  /// into the service counters.
-  void RunPendingSession(SessionState* state);
+  /// into the shard's counters.
+  void RunPendingSession(Shard* shard, SessionState* state);
   /// Cancels and unwinds a parked fiber (correction restart, closed
   /// session teardown): the parked wait-site throws, the stack unwinds to
   /// the fiber body's boundary, and the fiber is destroyed. Must be
   /// called with no checked lock held: the resume switches into the
   /// parked stack, and the unwind may run arbitrary destructor code.
   void UnwindFiber(SessionState* state);
-  /// Bumps jobs_done_ and the per-kind counter.
-  void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex_);
-  SessionState* FindSession(SessionId id) QHORN_REQUIRES(mutex_);
 
   Options options_;
-  std::unique_ptr<Executor> owned_executor_;  // null when Options.executor set
-  Executor* exec_ = nullptr;                  // owned or borrowed, never null
-  std::unique_ptr<CompiledQueryCache> owned_cache_;  // null when borrowed
-  CompiledQueryCache* cache_ = nullptr;
-
-  // Guards the sessions_ map shape, the per-session queues/bookkeeping
-  // (SessionState fields — see the struct comments for the runner-owned
-  // exceptions) and the service counters. One per shard; a DurableRouter
-  // commit hook runs while exactly one of these is held
-  // (LockRank::kRouterShard — the rank checker asserts the invariant in
-  // AcceptAnswers).
-  Mutex mutex_{"router-shard", LockRank::kRouterShard};
-  CondVar idle_cv_;
-  std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions_
-      QHORN_GUARDED_BY(mutex_);
-  SessionId next_id_ QHORN_GUARDED_BY(mutex_) = 1;
-  // Jobs that can make progress right now: queued + running jobs of
-  // direct sessions, plus uncompleted jobs of pending sessions that are
-  // not blocked on a user. A suspension subtracts its session's
-  // uncompleted jobs; ProvideAnswers adds them back. Drain waits for 0.
-  int64_t runnable_jobs_ QHORN_GUARDED_BY(mutex_) = 0;
-  // Counters bumped at job completion (stats() folds in session counters).
-  int64_t jobs_done_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t learns_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t verifies_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t revisions_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t suspensions_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t corrections_ QHORN_GUARDED_BY(mutex_) = 0;
+  CompiledQueryCache cache_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<SessionId> next_id_{1};
+  // Joined by the destructor before it touches any shard.
+  std::unique_ptr<Executor> executor_;
 };
 
 }  // namespace qhorn

@@ -2,9 +2,9 @@
 // service.
 //
 // One consumer, one primitive: SessionRouter multiplexes many sessions'
-// jobs across the pool with Post (a ShardedRouter's shards share one
-// pool). Rounds are evaluated inline on the lane that asks them; there is
-// no intra-round parallelism.
+// jobs across the pool with Post (all of its shards share one pool).
+// Rounds are evaluated inline on the lane that asks them; there is no
+// intra-round parallelism.
 //
 // Design points:
 //   * An Executor of concurrency c owns c-1 worker threads. Routers size

@@ -23,9 +23,9 @@
 //     holding it across the call would also be legal.
 //
 //   kRouterShard < kWalShard
-//     SessionRouter::AcceptAnswers invokes a DurableRouter commit hook
-//     while holding exactly one shard mutex, and the hook appends to that
-//     session's WAL shard. kDurableRouter ranks below kRouterShard, though
+//     SessionRouter::ProvideAnswers and Close invoke a DurableRouter
+//     commit hook while holding exactly one of the router's shard mutexes,
+//     and the hook appends to that session's WAL shard. kDurableRouter ranks below kRouterShard, though
 //     no path holds both.
 //
 // Everything else is a leaf — nothing is acquired while holding it:
@@ -55,7 +55,7 @@ namespace qhorn {
 enum class LockRank : int {
   kExecutor = 10,       // Executor task queue (leaf)
   kDurableRouter = 30,  // DurableRouter id assignment
-  kRouterShard = 40,    // SessionRouter::mutex_ (one per shard)
+  kRouterShard = 40,    // SessionRouter::Shard::mutex (one per shard)
   kWalShard = 50,       // SessionLog::mutex_ (one per WAL shard)
   kFaultFs = 55,        // FaultFs fault-schedule mutex
   kFs = 60,             // MemFs file-table mutex

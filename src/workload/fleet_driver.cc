@@ -271,6 +271,28 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
   return result;
 }
 
+void SubmitSpecJobs(SessionRouter& router, SessionRouter::SessionId id,
+                    const SessionSpec& spec) {
+  for (WorkloadJob job : spec.jobs) {
+    bool accepted = false;
+    switch (job) {
+      case WorkloadJob::kLearn:
+        accepted = router.SubmitLearn(id);
+        break;
+      case WorkloadJob::kVerifyTarget:
+        accepted = router.SubmitVerify(id, spec.target);
+        break;
+      case WorkloadJob::kVerifyMutant:
+        accepted = router.SubmitVerify(id, spec.mutant);
+        break;
+      case WorkloadJob::kRevise:
+        accepted = router.SubmitRevise(id, spec.mutant);
+        break;
+    }
+    QHORN_CHECK_MSG(accepted, "submit rejected on a live session");
+  }
+}
+
 FleetResult FleetDriver::RunPending(int lanes_override, int shards_override) {
   const int threads =
       lanes_override > 0 ? lanes_override : fleet_.spec.lanes;
@@ -279,12 +301,12 @@ FleetResult FleetDriver::RunPending(int lanes_override, int shards_override) {
       fleet_.spec.speculative_batching;
   sopts.learner.universal.speculative_batching =
       fleet_.spec.speculative_batching;
-  ShardedRouter::Options ropts;
+  SessionRouter::Options ropts;
   ropts.shards = shards_override > 0 ? shards_override
                                      : std::max(1, fleet_.spec.router_shards);
   ropts.threads = threads;
   ropts.session = sopts;
-  ShardedRouter router(ropts);
+  SessionRouter router(ropts);
   RouterEndpoint endpoint(&router);
   return RunHostile(endpoint);
 }

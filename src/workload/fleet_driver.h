@@ -20,7 +20,7 @@
 //     answer bits — a noisy user consulted twice about one round must
 //     say the same thing twice, because real users do not re-roll their
 //     answers when the server restarts. RunPending is the classic
-//     in-memory instantiation over a fleet-owned ShardedRouter.
+//     in-memory instantiation over a fleet-owned, sharded SessionRouter.
 //
 //   * RunSynchronous: the reference arm. The same sessions (minus the
 //     abandoned ones) over the same per-session user stacks, opened as
@@ -45,8 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "src/session/sharded_router.h"
-#include "src/util/check.h"
+#include "src/session/router.h"
 #include "src/workload/service_endpoint.h"
 #include "src/workload/workload.h"
 
@@ -80,37 +79,16 @@ struct DifferentialOutcome {
 
 /// Submits the spec's whole job plan to an already-open session, aborting
 /// if the router refuses. Shared by the endpoints and durable recovery
-/// (which must rebuild the identical job log); templated so it drives a
-/// bare SessionRouter and the ShardedRouter facade identically.
-template <typename RouterT>
-void SubmitSpecJobs(RouterT& router, typename RouterT::SessionId id,
-                    const SessionSpec& spec) {
-  for (WorkloadJob job : spec.jobs) {
-    bool accepted = false;
-    switch (job) {
-      case WorkloadJob::kLearn:
-        accepted = router.SubmitLearn(id);
-        break;
-      case WorkloadJob::kVerifyTarget:
-        accepted = router.SubmitVerify(id, spec.target);
-        break;
-      case WorkloadJob::kVerifyMutant:
-        accepted = router.SubmitVerify(id, spec.mutant);
-        break;
-      case WorkloadJob::kRevise:
-        accepted = router.SubmitRevise(id, spec.mutant);
-        break;
-    }
-    QHORN_CHECK_MSG(accepted, "submit rejected on a live session");
-  }
-}
+/// (which must rebuild the identical job log).
+void SubmitSpecJobs(SessionRouter& router, SessionRouter::SessionId id,
+                    const SessionSpec& spec);
 
-/// ServiceEndpoint over an in-memory ShardedRouter — the instantiation
+/// ServiceEndpoint over an in-memory SessionRouter — the instantiation
 /// the classic differential arm runs against, and the shape durable
 /// endpoints mimic.
 class RouterEndpoint : public ServiceEndpoint {
  public:
-  explicit RouterEndpoint(ShardedRouter* router) : router_(router) {}
+  explicit RouterEndpoint(SessionRouter* router) : router_(router) {}
 
   SessionId OpenPending(const SessionSpec& spec) override {
     SessionId id = router_->OpenPending(spec.n);
@@ -135,7 +113,7 @@ class RouterEndpoint : public ServiceEndpoint {
   ServiceStats stats() override { return router_->stats(); }
 
  private:
-  ShardedRouter* router_;
+  SessionRouter* router_;
 };
 
 class FleetDriver {
@@ -147,12 +125,11 @@ class FleetDriver {
   FleetResult RunHostile(ServiceEndpoint& endpoint,
                          CrashController* crash = nullptr);
 
-  /// RunHostile over a fleet-owned in-memory ShardedRouter on
+  /// RunHostile over a fleet-owned in-memory SessionRouter on
   /// `fleet.spec.lanes` lanes (overridable for the benchmarks' lane
   /// sweeps; <= 0 uses the spec). `shards_override` picks the shard count
-  /// (<= 0 uses the spec's `router_shards`). One shard is bit-identical
-  /// to a bare SessionRouter; more shards must not change observables,
-  /// which is exactly what the sharded differentials pin.
+  /// (<= 0 uses the spec's `router_shards`). More shards must not change
+  /// observables, which is exactly what the shard differentials pin.
   FleetResult RunPending(int lanes_override = 0, int shards_override = 0);
 
   /// Reference arm: synchronous in-order replay on one lane.

@@ -117,6 +117,24 @@ const char* ToString(WorkloadJob j) {
   return "?";
 }
 
+bool IsValidSessionSpec(const SessionSpec& spec) {
+  if (spec.n < 1 || spec.n > kMaxVars) return false;
+  for (WorkloadJob job : spec.jobs) {
+    switch (job) {
+      case WorkloadJob::kLearn:
+        break;
+      case WorkloadJob::kVerifyTarget:
+        if (spec.target.n() != spec.n) return false;
+        break;
+      case WorkloadJob::kVerifyMutant:
+      case WorkloadJob::kRevise:
+        if (spec.mutant.n() != spec.n) return false;
+        break;
+    }
+  }
+  return true;
+}
+
 WorkloadSpec WorkloadSpec::FromSeed(uint64_t seed) {
   Rng rng(Mix(seed, 0x5eedULL));
   WorkloadSpec spec;

@@ -72,6 +72,12 @@ struct SessionSpec {
   bool noisy() const { return flip_rate > 0.0; }
 };
 
+/// Whether a router can run the spec: n in [1, kMaxVars], and every query
+/// a job uses (the target for kVerifyTarget, the mutant for kVerifyMutant
+/// and kRevise) has arity n. The durable layer refuses anything else
+/// before it reaches the log.
+bool IsValidSessionSpec(const SessionSpec& spec);
+
 /// The seed-derived knobs of a fleet. Field defaults give a small mixed
 /// fleet; FromSeed derives a heterogeneous configuration (fleet size, lane
 /// count, schema range, mix fractions, delivery hostility) from one seed,
@@ -117,11 +123,11 @@ struct WorkloadSpec {
   /// still compile; FromSeed still consumes its draw (see there).
   bool replay_resume = false;
 
-  /// Router shards the hostile arm runs behind (PR 9): 1 is the classic
-  /// bare SessionRouter, anything higher drives the ShardedRouter facade.
-  /// Drawn from {1, 2, 4, 8} so the fuzz sweep exercises shard placement
-  /// and the per-shard polls on every seed mix; observables
-  /// must not depend on it (that is the differential).
+  /// Router shards the hostile arm runs behind (SessionRouter::Options::
+  /// shards; 1 is the differential baseline). Drawn from {1, 2, 4, 8} so
+  /// the fuzz sweep exercises shard placement and the per-shard polls on
+  /// every seed mix; observables must not depend on it (that is the
+  /// differential).
   int router_shards = 1;
 
   /// Derives a heterogeneous spec from one seed (the fuzz entry point).

@@ -4,9 +4,9 @@
 // sessions complete, no thread is ever parked per blocked session (the
 // router's executor is the only thread pool: ≤ 5 threads total), and
 // every per-session observable is bit-identical to a single-threaded
-// synchronous replay of the same jobs over the same answers. The sharded
-// variant drives the same fleet through the ShardedRouter facade at 1, 2
-// and 8 shards and pins its fingerprints to the synchronous arm too; the
+// synchronous replay of the same jobs over the same answers. The shard
+// variant drives the same fleet through a router of 1, 2 and 8 shards and
+// pins its fingerprints to the synchronous arm too; the
 // correction variant restarts every session once mid-run and pins its
 // fingerprints to a 1-lane run of the same corrections.
 //
@@ -28,7 +28,6 @@
 #include "src/core/normalize.h"
 #include "src/core/random_query.h"
 #include "src/session/router.h"
-#include "src/session/sharded_router.h"
 #include "src/util/bit_span.h"
 #include "tests/session_fingerprint.h"
 
@@ -57,8 +56,7 @@ SessionPlan MakePlan(int n, uint64_t seed) {
   return plan;
 }
 
-template <typename RouterT>
-void SubmitPlan(RouterT& router, typename RouterT::SessionId id,
+void SubmitPlan(SessionRouter& router, SessionRouter::SessionId id,
                 const SessionPlan& plan) {
   for (int job : plan.jobs) {
     switch (job) {
@@ -194,14 +192,13 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
   }
 }
 
-TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
+TEST(ContinuationStressTest, RouterShardsMatchSynchronousAcrossShardCounts) {
   // The same 256-session plan fleet, adversarially scheduled, driven
-  // through the ShardedRouter facade at 1, 2 and 8 shards — global ids
-  // and round merges cross the shard placement, the per-shard
-  // announcement queues, and the shared compiled-query cache. Every arm's
-  // per-session fingerprints must be bit-identical to a single-threaded
-  // synchronous replay: shard count is a throughput knob, never an
-  // observable.
+  // through a router of 1, 2 and 8 shards — ids and round merges cross
+  // the shard placement, the per-shard polls, and the shared executor.
+  // Every arm's per-session fingerprints must be bit-identical to a
+  // single-threaded synchronous replay: shard count is a throughput knob,
+  // never an observable.
   constexpr int kSessions = 256;
   constexpr int kLanes = 4;
   const int n = 6;
@@ -212,7 +209,7 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
     plans.push_back(MakePlan(n, 6000 + static_cast<uint64_t>(s)));
   }
 
-  // Synchronous reference arm: inline answers, one thread, bare router.
+  // Synchronous reference arm: inline answers, one thread, one shard.
   SessionRouter::Options sync_opts;
   sync_opts.threads = 1;
   SessionRouter sync_router(sync_opts);
@@ -229,24 +226,24 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
   }
 
   for (int shards : {1, 2, 8}) {
-    ShardedRouter::Options opts;
+    SessionRouter::Options opts;
     opts.shards = shards;
     opts.threads = kLanes;
-    ShardedRouter router(opts);
+    SessionRouter router(opts);
 
     std::vector<std::unique_ptr<QueryOracle>> truths;
-    std::map<ShardedRouter::SessionId, size_t> plan_of;
-    std::vector<ShardedRouter::SessionId> ids;
+    std::map<SessionRouter::SessionId, size_t> plan_of;
+    std::vector<SessionRouter::SessionId> ids;
     for (int s = 0; s < kSessions; ++s) {
       const SessionPlan& plan = plans[static_cast<size_t>(s)];
       truths.push_back(std::make_unique<QueryOracle>(plan.target));
-      ShardedRouter::SessionId id = router.OpenPending(n);
+      SessionRouter::SessionId id = router.OpenPending(n);
       plan_of[id] = static_cast<size_t>(s);
       ids.push_back(id);
       SubmitPlan(router, id, plan);
     }
 
-    // Same adversarial sweep as the bare-router stress: shuffled rounds,
+    // Same adversarial sweep as the 1-shard stress: shuffled rounds,
     // only ~2/3 answered per sweep, resumes racing still-parked sessions.
     Rng sched(131 + static_cast<uint64_t>(shards));
     for (;;) {

@@ -161,5 +161,24 @@ TEST(DurableCodecTest, SessionSpecDecodeRejectsForeignEnums) {
   EXPECT_FALSE(DecodeSessionSpec(in, &spec));
 }
 
+// A well-framed spec no router can run (n = 0, or a job's query of the
+// wrong arity) is not a valid encoding: reopening it would abort.
+TEST(DurableCodecTest, SessionSpecDecodeRejectsUnrunnableSpecs) {
+  Fleet fleet = GenerateFleet(WorkloadSpec::FromSeed(3));
+  ASSERT_FALSE(fleet.sessions.empty());
+  SessionSpec empty = fleet.sessions[0];
+  empty.n = 0;
+  SessionSpec mismatched = fleet.sessions[0];
+  mismatched.mutant = Query(mismatched.n + 1);
+  mismatched.jobs = {WorkloadJob::kRevise};
+  for (const SessionSpec& bad : {empty, mismatched}) {
+    std::string buf;
+    EncodeSessionSpec(bad, &buf);
+    Decoder in(buf);
+    SessionSpec spec;
+    EXPECT_FALSE(DecodeSessionSpec(in, &spec)) << "n=" << bad.n;
+  }
+}
+
 }  // namespace
 }  // namespace qhorn

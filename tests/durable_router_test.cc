@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -112,17 +113,17 @@ TEST(DurableRouterTest, EveryProtocolCallIsLoggedBeforeAck) {
 
   EXPECT_TRUE(dr->Close(id));
   EXPECT_EQ(dr->records_logged(), 2 + rounds);
-  // Log-before-ack holds even for the refusal path: the duplicate close is
-  // appended before the router reports already-closed, and Recover skips
-  // it idempotently (RecoverReclosesClosedSessions covers the replay side).
+  // A refused close is not logged: the close record is appended from the
+  // router's commit hook, which runs only for a close that takes effect.
   EXPECT_FALSE(dr->Close(id));
-  EXPECT_EQ(dr->records_logged(), 3 + rounds);
+  EXPECT_EQ(dr->records_logged(), 2 + rounds)
+      << "refused calls must not leave records behind";
 
   // The shard really carries the session: opened first, closed last.
   std::string path = DurableRouter::ShardPath(kLogDir, /*shard=*/id % 2);
   LogReadResult r = ReadLog(&mem, path);
   ASSERT_EQ(r.status, LogReadStatus::kOk) << r.error;
-  ASSERT_EQ(r.records.size(), static_cast<size_t>(3 + rounds));
+  ASSERT_EQ(r.records.size(), static_cast<size_t>(2 + rounds));
   EXPECT_EQ(r.records.front().type, LogRecordType::kSessionOpened);
   EXPECT_EQ(r.records.back().type, LogRecordType::kSessionClosed);
 }
@@ -202,6 +203,99 @@ TEST(DurableRouterTest, GarbageIdsAreRefusedNotLogged) {
   EXPECT_EQ(dr->status(42), std::nullopt);
   EXPECT_EQ(dr->records_logged(), 0)
       << "refused calls must not leave records behind";
+}
+
+// Repeated closes must not grow the log: only the close that takes effect
+// is logged, also when several callers race to close one session.
+TEST(DurableRouterTest, RepeatedClosesLeaveTheLogFlat) {
+  MemFs mem;
+  std::string error;
+  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+  ASSERT_NE(dr, nullptr) << error;
+  std::vector<SessionSpec> specs = CleanSpecs(2);
+
+  DurableRouter::SessionId id = dr->OpenPending(specs[0]);
+  ASSERT_EQ(dr->records_logged(), 1);
+  EXPECT_TRUE(dr->Close(id));
+  EXPECT_EQ(dr->records_logged(), 2);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(dr->Close(id));
+    EXPECT_EQ(dr->records_logged(), 2) << "repeat close " << i << " logged";
+  }
+
+  DurableRouter::SessionId raced = dr->OpenPending(specs[1]);
+  dr->Drain();
+  const int64_t before = dr->records_logged();
+  std::atomic<int> closed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      if (dr->Close(raced)) closed.fetch_add(1);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(closed.load(), 1);
+  EXPECT_EQ(dr->records_logged(), before + 1);
+}
+
+/// Specs a router cannot run: n = 0, n past kMaxVars, and a verify job
+/// whose target has the wrong arity. Each would abort the open.
+std::vector<SessionSpec> UnrunnableSpecs() {
+  const SessionSpec base = CleanSpecs(1)[0];
+  SessionSpec empty = base;
+  empty.n = 0;
+  SessionSpec wide = base;
+  wide.n = kMaxVars + 1;
+  SessionSpec mismatched = base;
+  mismatched.target = Query(base.n + 1);
+  mismatched.jobs = {WorkloadJob::kVerifyTarget};
+  return {empty, wide, mismatched};
+}
+
+TEST(DurableRouterTest, UnrunnableSpecsAreRefusedBeforeTheLog) {
+  MemFs mem;
+  std::string error;
+  {
+    auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+    ASSERT_NE(dr, nullptr) << error;
+    for (const SessionSpec& spec : UnrunnableSpecs()) {
+      EXPECT_EQ(dr->OpenPending(spec), 0) << "n=" << spec.n;
+    }
+    EXPECT_EQ(dr->records_logged(), 0)
+        << "refused calls must not leave records behind";
+  }
+  mem.CrashAll();
+
+  RecoveryReport report;
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.records_read, 0);
+  EXPECT_EQ(report.sessions_recovered, 0);
+  // The refusals consumed no id.
+  EXPECT_EQ(rec->OpenPending(CleanSpecs(1)[0]), 1);
+}
+
+// A log that carries an unrunnable spec anyway (appended below the
+// durable layer) is refused with a typed error instead of aborting.
+TEST(DurableRouterTest, RecoverRefusesALoggedUnrunnableSpec) {
+  for (const SessionSpec& spec : UnrunnableSpecs()) {
+    MemFs mem;
+    std::string error;
+    ASSERT_NE(DurableRouter::Create(&mem, kLogDir, Opts(), &error), nullptr)
+        << error;
+    {
+      auto log = SessionLog::Open(&mem, DurableRouter::ShardPath(kLogDir, 1),
+                                  Opts().log, &error);
+      ASSERT_NE(log, nullptr) << error;
+      ASSERT_TRUE(log->AppendSessionOpened(1, spec));
+    }
+    mem.CrashAll();
+
+    RecoveryReport report;
+    auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error);
+    EXPECT_EQ(rec, nullptr) << "recovered a log opening n=" << spec.n;
+    EXPECT_FALSE(error.empty()) << "n=" << spec.n;
+  }
 }
 
 TEST(DurableRouterTest, RecoverOnEmptyLogsIsAFreshService) {

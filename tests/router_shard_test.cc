@@ -1,15 +1,13 @@
-// ShardedRouter — the N-shard facade over SessionRouter — plus the two
-// concurrency structures underneath it: the CompiledQueryCache every
-// shard shares and the lock-free MPSC pending-round drain. Also covers
-// the parked-fiber cold-stack trim.
+// SessionRouter's shards (Options::shards), plus the CompiledQueryCache
+// every shard shares and the parked-fiber cold-stack trim.
 //
-// The load-bearing property is the facade contract: a session's
+// The load-bearing property is the shard contract: a session's
 // observables depend only on its own job and answer sequence, never on
-// the shard count — a 1-shard facade is bit-identical (ids included) to a
-// bare SessionRouter, and 2/8-shard runs produce fingerprints equal to
-// the 1-shard run session for session. The facade and its shards share
-// one id space: id i lives on shard i % shards under the same id. The
-// lock-free poll is raced against live suspensions/resumes under TSan.
+// the shard count — 2- and 8-shard runs produce fingerprints equal to the
+// 1-shard run session for session. One id space: id i lives on shard
+// i % shards under id i itself. The locked poll (each shard's parked
+// rounds copied under that shard's mutex) is raced against live
+// suspensions and resumes under TSan.
 //
 // Runs under the tsan preset in CI (ctest label: continuation).
 
@@ -26,7 +24,6 @@
 #include "src/core/normalize.h"
 #include "src/oracle/oracle.h"
 #include "src/session/router.h"
-#include "src/session/sharded_router.h"
 #include "src/util/bit_span.h"
 #include "src/util/fiber.h"
 #include "tests/session_fingerprint.h"
@@ -39,12 +36,9 @@ namespace {
 
 /// Opens `count` pending sessions, submits one verification of `target`
 /// to each, answers every surfaced round from ground truth, and returns
-/// the per-session fingerprints in open order. Templated so the same
-/// driver runs a bare SessionRouter and the facade.
-template <typename RouterT>
-std::vector<std::string> DriveVerifyFleet(
-    RouterT& router, const Query& target, int count,
-    std::vector<int64_t>* ids_out = nullptr) {
+/// the per-session fingerprints in open order.
+std::vector<std::string> DriveVerifyFleet(SessionRouter& router,
+                                          const Query& target, int count) {
   QueryOracle truth(target);
   std::vector<int64_t> ids;
   for (int i = 0; i < count; ++i) {
@@ -69,51 +63,27 @@ std::vector<std::string> DriveVerifyFleet(
   for (int64_t id : ids) {
     prints.push_back(SessionFingerprint(router.session(id)));
   }
-  if (ids_out != nullptr) *ids_out = ids;
   return prints;
 }
 
 Query TestTarget() { return Query::Parse("∀x1x2→x4 ∃x3", 4); }
 
 // ---------------------------------------------------------------------------
-// Facade equivalence.
+// Shard-count equivalence.
 
-TEST(ShardedRouterTest, OneShardIsBitIdenticalToBareRouterIdsIncluded) {
+TEST(RouterShardTest, FingerprintsBitIdenticalAcrossShardCounts) {
   const Query target = TestTarget();
-  SessionRouter::Options bopts;
-  bopts.threads = 1;
-  SessionRouter bare(bopts);
-  std::vector<int64_t> bare_ids;
-  std::vector<std::string> bare_prints =
-      DriveVerifyFleet(bare, target, 12, &bare_ids);
-
-  ShardedRouter::Options sopts;
-  sopts.shards = 1;
-  sopts.threads = 1;
-  ShardedRouter facade(sopts);
-  std::vector<int64_t> facade_ids;
-  std::vector<std::string> facade_prints =
-      DriveVerifyFleet(facade, target, 12, &facade_ids);
-
-  // At shards == 1 the facade is a drop-in replacement, byte for byte:
-  // same ids, same rounds, same fingerprints.
-  EXPECT_EQ(facade_ids, bare_ids);
-  EXPECT_EQ(facade_prints, bare_prints);
-}
-
-TEST(ShardedRouterTest, FingerprintsBitIdenticalAcrossShardCounts) {
-  const Query target = TestTarget();
-  ShardedRouter::Options base;
+  SessionRouter::Options base;
   base.shards = 1;
   base.threads = 1;
-  ShardedRouter one(base);
+  SessionRouter one(base);
   std::vector<std::string> reference = DriveVerifyFleet(one, target, 16);
 
   for (int shards : {2, 8}) {
-    ShardedRouter::Options sopts;
+    SessionRouter::Options sopts;
     sopts.shards = shards;
     sopts.threads = 4;
-    ShardedRouter router(sopts);
+    SessionRouter router(sopts);
     std::vector<std::string> prints = DriveVerifyFleet(router, target, 16);
     ASSERT_EQ(prints.size(), reference.size());
     for (size_t i = 0; i < prints.size(); ++i) {
@@ -126,20 +96,20 @@ TEST(ShardedRouterTest, FingerprintsBitIdenticalAcrossShardCounts) {
 // ---------------------------------------------------------------------------
 // One id space and garbage tolerance.
 
-TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
-  ShardedRouter::Options sopts;
+TEST(RouterShardTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
+  SessionRouter::Options sopts;
   sopts.shards = 4;
   sopts.threads = 1;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
 
   // Caller-assigned ids (the durable layer's path) pin placement: id i
   // lands on shard i % 4 and is stored there under i itself.
   for (int64_t id : {5, 6, 7, 8, 13, 22, 31, 40}) {
     EXPECT_EQ(router.OpenPending(3, id), id);
-    EXPECT_EQ(router.ShardOf(id), static_cast<int>(id % 4));
     EXPECT_EQ(router.status(id), SessionStatus::kIdle);
   }
   EXPECT_EQ(router.OpenPending(3, 13), 0) << "a taken id must be refused";
+  EXPECT_EQ(router.OpenPending(3, -7), 0) << "a negative id must be refused";
 
   // Garbage ids: zero, negative, and ids nobody opened (one below the
   // pinned range, one far above it). All rejected without a crash.
@@ -154,12 +124,12 @@ TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   }
 }
 
-TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
+TEST(RouterShardTest, PendingRoundsMergeCarriesExternalIdsSorted) {
   const Query target = TestTarget();
-  ShardedRouter::Options sopts;
+  SessionRouter::Options sopts;
   sopts.shards = 4;
   sopts.threads = 2;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
 
   std::vector<int64_t> ids;
   for (int i = 0; i < 12; ++i) {
@@ -167,18 +137,17 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
     ASSERT_TRUE(router.SubmitVerify(id, target));
     ids.push_back(id);
   }
-  // Global ids 1..12 in open order, spread round-robin over the shards.
+  // Ids 1..12 in open order, spread round-robin over the shards.
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_EQ(ids[i], static_cast<int64_t>(i + 1));
-    EXPECT_EQ(router.ShardOf(ids[i]), static_cast<int>(ids[i] % 4));
   }
   router.Drain();
   std::vector<PendingRound> rounds = router.PendingRounds();
   ASSERT_EQ(rounds.size(), ids.size());
   for (size_t i = 0; i < rounds.size(); ++i) {
-    // Merged across four shards, sorted by global id: exactly 1..12.
+    // Merged across four shards, sorted by id: exactly 1..12.
     EXPECT_EQ(rounds[i].session_id, ids[i]);
-    // The per-id view speaks the same global ids as the merged poll.
+    // The per-id view speaks the same ids as the merged poll.
     std::optional<PendingRound> single =
         router.pending_round(rounds[i].session_id);
     ASSERT_TRUE(single.has_value());
@@ -188,12 +157,12 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
   for (int64_t id : ids) router.Close(id);
 }
 
-TEST(ShardedRouterTest, StatsSumShardsButCountTheSharedCacheOnce) {
+TEST(RouterShardTest, StatsSumShardsButCountTheSharedCacheOnce) {
   const Query target = TestTarget();
-  ShardedRouter::Options sopts;
+  SessionRouter::Options sopts;
   sopts.shards = 4;
   sopts.threads = 2;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
   for (int i = 0; i < 8; ++i) {
     int64_t id = router.OpenSimulated(target);
     ASSERT_TRUE(router.SubmitVerify(id, target));
@@ -211,12 +180,12 @@ TEST(ShardedRouterTest, StatsSumShardsButCountTheSharedCacheOnce) {
 // ---------------------------------------------------------------------------
 // The locked poll, raced against live suspensions and resumes (TSan).
 
-TEST(ShardedRouterTest, PollRacesSuspensionsAndResumes) {
+TEST(RouterShardTest, PollRacesSuspensionsAndResumes) {
   const Query target = TestTarget();
-  ShardedRouter::Options sopts;
+  SessionRouter::Options sopts;
   sopts.shards = 2;
   sopts.threads = 4;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
 
   std::atomic<bool> stop{false};
   // The racing poller: hammers PendingRounds with no synchronization

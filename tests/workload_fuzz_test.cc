@@ -98,7 +98,7 @@ TEST(WorkloadFuzzTest, HostileArmsReplayNothing) {
 TEST(WorkloadFuzzTest, ShardedHostileArmsAreBitIdenticalAcrossShardCounts) {
   // The sharding differential, run explicitly at pinned shard counts (the
   // big sweep below draws router_shards per seed; this pins seed-for-seed
-  // that the hostile arm behind a 1-, 2- and 8-shard ShardedRouter
+  // that the hostile arm behind a 1-, 2- and 8-shard SessionRouter
   // produces fingerprints bit-identical to the synchronous reference —
   // the shard count changes which mutexes exist, never what a session
   // observes).

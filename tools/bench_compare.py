@@ -69,8 +69,8 @@ HEADLINE_PAIRS = [
     ("BM_CanonicalDedup/64", "BM_CanonicalDedupLegacy/64"),
     # Router sharding: four driver threads hammering a mixed
     # open/provide/poll workload over 4096 sessions behind an 8-shard
-    # facade vs the identical workload behind the 1-shard (global-mutex)
-    # facade. The upside needs real cores — on a 1-cpu runner the ratio
+    # router vs the identical workload behind a 1-shard (global-mutex)
+    # router. The upside needs real cores — on a 1-cpu runner the ratio
     # sits near 1.0× and the gate only pins it there.
     ("BM_RouterContention/4096/8/real_time",
      "BM_RouterContention/4096/1/real_time"),
