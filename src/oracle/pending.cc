@@ -35,7 +35,7 @@ void PendingOracle::SuspendAndAwait(std::vector<TupleSet> questions,
   const size_t count = questions.size();
   pending_.session_id = session_id_;
   pending_.round_id = next_round_id_;
-  pending_.questions = std::move(questions);
+  pending_.questions = RoundQuestions(std::move(questions));
   has_pending_ = true;
   ++suspensions_;
   // The park leaves this thread: some (possibly other) thread resumes the

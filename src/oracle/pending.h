@@ -5,7 +5,9 @@
 // the embedding server uses. PendingOracle models exactly that: any round
 // reaching it is by definition "not answerable synchronously", so it
 // records the round's questions as a PendingRound{session_id, round_id,
-// questions} and parks the in-flight job.
+// questions} and parks the in-flight job. The questions are built into one
+// shared immutable payload at that moment; every later copy of the round
+// shares it.
 //
 // Parking is the only suspension: the job runs on a Fiber
 // (src/util/fiber.h) and the installed yield hook switches back to the
@@ -31,8 +33,11 @@
 #ifndef QHORN_ORACLE_PENDING_H_
 #define QHORN_ORACLE_PENDING_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -46,11 +51,44 @@ namespace qhorn {
 /// derive from std::exception so generic handlers cannot swallow it.
 struct JobSuspended {};
 
+/// A round's questions: a read-only view over an immutable payload that
+/// PendingOracle builds once, when the job parks. Every copy of the round
+/// shares that payload, so copying a round (a poll, pending_round) bumps a
+/// refcount and never copies a TupleSet. A copy keeps the payload alive on
+/// its own: it stays valid after its session answers, corrects or closes
+/// the round, and after the router that listed it is destroyed.
+class RoundQuestions {
+ public:
+  using const_iterator = const TupleSet*;
+
+  RoundQuestions() = default;
+  explicit RoundQuestions(std::vector<TupleSet> questions)
+      : payload_(std::make_shared<const std::vector<TupleSet>>(
+            std::move(questions))) {}
+
+  size_t size() const { return payload_ == nullptr ? 0 : payload_->size(); }
+  bool empty() const { return size() == 0; }
+  const TupleSet& operator[](size_t i) const { return (*payload_)[i]; }
+  const TupleSet* begin() const {
+    return payload_ == nullptr ? nullptr : payload_->data();
+  }
+  const TupleSet* end() const { return begin() + size(); }
+  operator std::span<const TupleSet>() const { return {begin(), size()}; }
+
+  friend bool operator==(const RoundQuestions& a, const RoundQuestions& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::shared_ptr<const std::vector<TupleSet>> payload_;
+};
+
 /// One round of membership questions awaiting a real user's answers.
+/// Cheap to copy: the questions are shared, never deep-copied.
 struct PendingRound {
   int64_t session_id = 0;  ///< the SessionRouter session that suspended
   int64_t round_id = 0;    ///< user-boundary round sequence number
-  std::vector<TupleSet> questions;
+  RoundQuestions questions;
 };
 
 /// Backend whose every (non-empty) round parks the in-flight job.

@@ -171,6 +171,23 @@ SessionRouter::SessionId SessionRouter::OpenPending(int n, SessionId id) {
   return id;
 }
 
+void SessionRouter::Shard::Park(SessionState* state, PendingRound round) {
+  QHORN_DCHECK(!state->pending_round.has_value());
+  state->pending_round = std::move(round);
+  state->awaiting_slot = awaiting.size();
+  awaiting.push_back(state);
+}
+
+void SessionRouter::Shard::Unpark(SessionState* state) {
+  QHORN_DCHECK(state->pending_round.has_value());
+  QHORN_DCHECK(awaiting[state->awaiting_slot] == state);
+  SessionState* last = awaiting.back();
+  awaiting[state->awaiting_slot] = last;
+  last->awaiting_slot = state->awaiting_slot;
+  awaiting.pop_back();
+  state->pending_round.reset();
+}
+
 void SessionRouter::Shard::CompleteJob(JobKind kind) {
   ++jobs_done;
   switch (kind) {
@@ -377,38 +394,42 @@ void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
     // parked fiber.
     const size_t resident = state->fiber->TrimColdStack();
     bool idle = false;
-    bool abandoned = false;
-    {
-      MutexLock lock(&shard->mutex);
-      while (state->jobs_completed < jobs_run) {
-        shard->CompleteJob(state->job_log[state->jobs_completed].kind);
-        ++state->jobs_completed;
-        --shard->runnable_jobs;
+    for (bool unwound = false;; unwound = true) {
+      {
+        MutexLock lock(&shard->mutex);
+        if (!state->closed || unwound) {
+          while (state->jobs_completed < jobs_run) {
+            shard->CompleteJob(state->job_log[state->jobs_completed].kind);
+            ++state->jobs_completed;
+            --shard->runnable_jobs;
+          }
+          ++state->suspensions;
+          ++shard->suspensions;
+          // Everything this session still owes can no longer progress
+          // without the user; Drain must not wait for it.
+          shard->runnable_jobs -= static_cast<int64_t>(
+              state->job_log.size() - state->jobs_completed);
+          idle = shard->runnable_jobs == 0;
+          if (!state->closed) {
+            // Published in the same critical section as runnable_jobs's
+            // decrement, so Drain-then-poll observes every parked round.
+            shard->Park(state, state->pending_backend->TakePending());
+            state->snapshot_bytes = resident;
+          }
+          state->running = false;
+          break;
+        }
       }
-      ++state->suspensions;
-      ++shard->suspensions;
-      // Everything this session still owes can no longer progress
-      // without the user; Drain must not wait for it.
-      shard->runnable_jobs -= static_cast<int64_t>(state->job_log.size() -
-                                                   state->jobs_completed);
-      idle = shard->runnable_jobs == 0;
-      if (state->closed) {
-        // Closed mid-run: abandon the round; the session never resumes.
-        (void)state->pending_backend->TakePending();
-        abandoned = true;
-      } else {
-        // Published in the same critical section as runnable_jobs's
-        // decrement, so Drain-then-poll observes every parked round.
-        state->pending_round = state->pending_backend->TakePending();
-        state->snapshot_bytes = resident;
-      }
-      state->running = false;
+      // Closed mid-run: abandon the round; the session never resumes. Its
+      // parked stack unwinds here, before the bookkeeping above lets Drain
+      // return, so no code of a drained router's sessions is still running
+      // (the unwind rolls session counters back). Safe off-lock: closed
+      // sessions reject Submit/ProvideAnswers/CorrectAnswer, so no other
+      // runner can be posted.
+      (void)state->pending_backend->TakePending();
+      UnwindFiber(state);
     }
     if (idle) shard->idle_cv.NotifyAll();
-    // A closed session's parked stack unwinds right here — no resume can
-    // ever come. Safe after releasing ownership: closed sessions reject
-    // Submit/ProvideAnswers, so no other runner can be posted.
-    if (abandoned) UnwindFiber(state);
     return;  // ← the lane is free while the user thinks
   }
 }
@@ -441,10 +462,8 @@ std::vector<PendingRound> SessionRouter::PendingRounds() {
   for (const auto& owned : shards_) {
     Shard& shard = *owned;
     MutexLock lock(&shard.mutex);
-    for (const auto& [id, state] : shard.sessions) {
-      if (state->pending_round.has_value()) {
-        rounds.push_back(*state->pending_round);
-      }
+    for (const SessionState* state : shard.awaiting) {
+      rounds.push_back(*state->pending_round);
     }
   }
   std::sort(rounds.begin(), rounds.end(),
@@ -486,7 +505,7 @@ ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
     if (!state->pending_round.has_value()) {
       return ProvideOutcome::kNotAwaiting;
     }
-    PendingRound& round = *state->pending_round;
+    const PendingRound& round = *state->pending_round;
     if (round_id != round.round_id) return ProvideOutcome::kStaleRound;
     if (answers.size() != round.questions.size()) {
       return ProvideOutcome::kAnswerCountMismatch;
@@ -507,12 +526,14 @@ ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
     for (size_t i = 0; i < answers.size(); ++i) {
       state->staged_answers[i] = answers.Get(i);
     }
+    // The questions are shared with every polled copy of the round, so
+    // the transcript takes its own copy of each.
     for (size_t i = 0; i < round.questions.size(); ++i) {
-      state->answered_entries.push_back(TranscriptEntry{
-          std::move(round.questions[i]), answers.Get(i), round.round_id});
+      state->answered_entries.push_back(
+          TranscriptEntry{round.questions[i], answers.Get(i), round.round_id});
     }
     ++state->answered_rounds;
-    state->pending_round.reset();
+    shard->Unpark(state);
     shard->runnable_jobs += static_cast<int64_t>(state->job_log.size() -
                                                  state->jobs_completed);
     state->running = true;
@@ -557,7 +578,7 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // destructors, so it happens on a lane, never under this lock).
     state->fiber_cancel = state->fiber != nullptr;
     state->staged_answers.clear();
-    state->pending_round.reset();
+    shard->Unpark(state);
     shard->runnable_jobs += static_cast<int64_t>(state->job_log.size());
     state->running = true;
     ++shard->corrections;
@@ -589,7 +610,7 @@ bool SessionRouter::Close(SessionId id, CommitHook commit) {
   state->closed = true;
   // The user will never answer; abandon any pending round. The session's
   // uncompleted jobs were uncounted at suspension, so nothing waits.
-  state->pending_round.reset();
+  if (state->pending_round.has_value()) shard->Unpark(state);
   return true;
 }
 
@@ -646,6 +667,10 @@ ServiceStats SessionRouter::stats() {
     stats.revisions += shard.revisions;
     stats.suspensions += shard.suspensions;
     stats.corrections += shard.corrections;
+    stats.awaiting_sessions += static_cast<int64_t>(shard.awaiting.size());
+    for (const SessionState* state : shard.awaiting) {
+      stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
+    }
     for (const auto& [id, state] : shard.sessions) {
       const OracleStats& os = state->session->oracle_stats();
       stats.questions += os.questions;
@@ -653,10 +678,6 @@ ServiceStats SessionRouter::stats() {
       stats.rounds += state->session->rounds();
       stats.cache_hits += state->session->cache_hits();
       stats.replayed_questions += state->session->user_questions_replayed();
-      if (state->pending_round.has_value()) {
-        ++stats.awaiting_sessions;
-        stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
-      }
     }
   }
   stats.compiled_hits = cache_.hits();

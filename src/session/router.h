@@ -282,13 +282,21 @@ class SessionRouter {
   /// The embedding server's poll: render each round's questions to its
   /// user, then call ProvideAnswers with the labels.
   ///
-  /// Copies every awaiting session's round under its shard's mutex, so
-  /// each shard's part is exact at one instant, even alongside live
-  /// runners: a round is listed from the critical section that parks it
-  /// until the one that answers, corrects or closes it. Shards are polled
-  /// one after another, never under two shard mutexes at once. A reply to
-  /// a round answered since the poll bounces off kStaleRound/kNotAwaiting,
-  /// like any hostile duplicate.
+  /// Costs O(awaiting sessions), not O(sessions ever opened): each shard
+  /// keeps an index of its awaiting sessions, and the poll walks only
+  /// that. It copies the index's rounds under the shard's mutex, so each
+  /// shard's part is exact at one instant, even alongside live runners: a
+  /// round is listed from the critical section that parks it until the
+  /// one that answers, corrects or closes it. Shards are polled one after
+  /// another, never under two shard mutexes at once. A reply to a round
+  /// answered since the poll bounces off kStaleRound/kNotAwaiting, like
+  /// any hostile duplicate.
+  ///
+  /// A listed round shares its questions with the session (copying a
+  /// PendingRound never copies a TupleSet), and the questions are
+  /// immutable. They stay valid for as long as the caller holds the round:
+  /// after the session answers, corrects or closes it, and after the
+  /// router is destroyed.
   std::vector<PendingRound> PendingRounds();
 
   /// Feeds a user's labels back into a suspended session. `round_id` must
@@ -346,9 +354,9 @@ class SessionRouter {
   ResumeMode resume_mode() const { return ResumeMode::kFiber; }
 
   /// The round the session is blocked on, if any — nullopt for unknown,
-  /// closed, or not-awaiting sessions. A copy, so the recovery replay can
-  /// match surfaced rounds against logged answers without racing the
-  /// runner.
+  /// closed, or not-awaiting sessions. A copy (sharing its questions, as a
+  /// polled round does), so the recovery replay can match surfaced rounds
+  /// against logged answers without racing the runner.
   std::optional<PendingRound> pending_round(SessionId id) const;
 
   /// Marks a session closed: subsequent Submit/ProvideAnswers are
@@ -402,9 +410,12 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  // Locking protocol: the queue, job log, the pending round and the
-  // running/closed flags are guarded by the mutex of the shard that
-  // hosts the session; PendingRounds reads them under it too.
+  // Locking protocol: the queue, job log, the pending round, its
+  // awaiting-index slot and the running/closed flags are guarded by the
+  // mutex of the shard that hosts the session; PendingRounds reads them
+  // under it too. Only Shard::Park and Shard::Unpark write pending_round
+  // and awaiting_slot, so a session is in its shard's awaiting index
+  // exactly while it has a pending round.
   // The resume-state fields (answered_entries, staged_answers, fiber*)
   // follow an ownership handoff instead: while `running` is true they
   // belong exclusively to the runner task and are read/written without
@@ -429,8 +440,10 @@ class SessionRouter {
     std::vector<TranscriptEntry> answered_entries;
     int64_t answered_rounds = 0;
     // Set exactly while the session is suspended on a user round that
-    // ProvideAnswers will resume.
+    // ProvideAnswers will resume; `awaiting_slot` is then its position in
+    // Shard::awaiting.
     std::optional<PendingRound> pending_round;
+    size_t awaiting_slot = 0;
     // Resident bytes of the parked stack while awaiting (ServiceStats).
     size_t snapshot_bytes = 0;
     // `fiber` is the parked continuation — the suspended job's live call
@@ -461,6 +474,10 @@ class SessionRouter {
     CondVar idle_cv;
     std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions
         QHORN_GUARDED_BY(mutex);
+    // The sessions with a pending round, in no particular order: what a
+    // poll walks instead of `sessions`, so it costs O(awaiting) however
+    // many sessions the shard has hosted.
+    std::vector<SessionState*> awaiting QHORN_GUARDED_BY(mutex);
     // Jobs that can make progress right now: queued + running jobs of
     // direct sessions, plus uncompleted jobs of pending sessions that are
     // not blocked on a user. A suspension subtracts its session's
@@ -479,6 +496,12 @@ class SessionRouter {
     SessionState* Find(SessionId id) QHORN_REQUIRES(mutex);
     /// Bumps jobs_done and the per-kind counter.
     void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex);
+    /// Publishes `round` as the session's pending round and lists the
+    /// session in `awaiting`. The session must not be awaiting already.
+    void Park(SessionState* state, PendingRound round) QHORN_REQUIRES(mutex);
+    /// Drops the session's pending round and swap-removes the session
+    /// from `awaiting`. The session must be awaiting.
+    void Unpark(SessionState* state) QHORN_REQUIRES(mutex);
   };
 
   /// The shard hosting `id`: shard id % shards. Never null.

@@ -5,14 +5,17 @@
 // observables depend only on its own job and answer sequence, never on
 // the shard count — 2- and 8-shard runs produce fingerprints equal to the
 // 1-shard run session for session. One id space: id i lives on shard
-// i % shards under id i itself. The locked poll (each shard's parked
-// rounds copied under that shard's mutex) is raced against live
-// suspensions and resumes under TSan.
+// i % shards under id i itself. The locked poll (each shard's index of
+// awaiting sessions, walked under that shard's mutex) is raced against
+// live suspensions and resumes under TSan, checked against a brute-force
+// scan of every session, and its rounds' shared questions are held past
+// the router's teardown.
 //
 // Runs under the tsan preset in CI (ctest label: continuation).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -26,6 +29,7 @@
 #include "src/session/router.h"
 #include "src/util/bit_span.h"
 #include "src/util/fiber.h"
+#include "src/util/rng.h"
 #include "tests/session_fingerprint.h"
 
 namespace qhorn {
@@ -67,6 +71,18 @@ std::vector<std::string> DriveVerifyFleet(SessionRouter& router,
 }
 
 Query TestTarget() { return Query::Parse("∀x1x2→x4 ∃x3", 4); }
+
+/// Verification candidates over TestTarget's schema. Each asks questions
+/// the others do not, so a second verification still reaches the user
+/// past the session's question cache.
+std::vector<Query> TestCandidates() {
+  std::vector<Query> candidates;
+  for (const char* text : {"∀x1x2→x4 ∃x3", "∃x1x2x3 ∃x4", "∃x1x2 ∃x3",
+                           "∀x2→x1", "∃x1x2 ∃x2x3 ∃x4", "∀x3 ∀x1→x4 ∃x2"}) {
+    candidates.push_back(Query::Parse(text, 4));
+  }
+  return candidates;
+}
 
 // ---------------------------------------------------------------------------
 // Shard-count equivalence.
@@ -214,6 +230,203 @@ TEST(RouterShardTest, PollRacesSuspensionsAndResumes) {
   EXPECT_EQ(stats.verifies, 24);
   EXPECT_GE(stats.suspensions, 24);
   EXPECT_EQ(stats.awaiting_sessions, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The awaiting index: a poll walks only the sessions with a pending round.
+
+/// The poll against a brute-force scan of pending_round over every id ever
+/// opened: the same rounds, in id order, and stats() counting as many
+/// awaiting sessions. Call after Drain.
+void ExpectPollMatchesScan(SessionRouter& router,
+                           const std::vector<int64_t>& opened) {
+  std::vector<PendingRound> polled = router.PendingRounds();
+  std::vector<PendingRound> scanned;
+  for (int64_t id : opened) {  // opened is in id order
+    std::optional<PendingRound> round = router.pending_round(id);
+    EXPECT_EQ(round.has_value(),
+              router.status(id) == SessionStatus::kAwaitingUser)
+        << "session " << id;
+    if (round.has_value()) scanned.push_back(*round);
+  }
+  ASSERT_EQ(polled.size(), scanned.size());
+  for (size_t i = 0; i < polled.size(); ++i) {
+    EXPECT_EQ(polled[i].session_id, scanned[i].session_id) << i;
+    EXPECT_EQ(polled[i].round_id, scanned[i].round_id) << i;
+    EXPECT_EQ(polled[i].questions, scanned[i].questions) << i;
+  }
+  EXPECT_EQ(router.stats().awaiting_sessions,
+            static_cast<int64_t>(polled.size()));
+}
+
+TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
+  // A seeded mix of every transition in and out of the awaiting index:
+  // opens, submits, answers, stale answers, corrections, and closes of
+  // parked and of running sessions. Learner sessions only ever get
+  // truthful answers; corrections go to verifier sessions, whose jobs
+  // stay finite whatever the user says.
+  const Query target = TestTarget();
+  const std::vector<Query> candidates = TestCandidates();
+  QueryOracle truth(target);
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    SessionRouter::Options sopts;
+    sopts.shards = shards;
+    sopts.threads = 3;
+    SessionRouter router(sopts);
+    Rng rng(1700 + static_cast<uint64_t>(shards));
+    std::vector<int64_t> opened;
+    std::vector<bool> learner;  // by open index
+    BitVec bits;
+    int answered = 0;
+    int corrected = 0;
+    int closed_parked = 0;
+    int closed_running = 0;
+    size_t most_awaiting = 0;
+    auto close = [&](int64_t id) {
+      const std::optional<SessionStatus> was = router.status(id);
+      if (!router.Close(id)) return;
+      closed_parked += was == SessionStatus::kAwaitingUser;
+      closed_running += was == SessionStatus::kRunning;
+    };
+    auto index_of = [&](int64_t id) {
+      return static_cast<size_t>(
+          std::lower_bound(opened.begin(), opened.end(), id) -
+          opened.begin());
+    };
+    auto submit = [&](int64_t id) {
+      if (learner[index_of(id)]) {
+        router.SubmitLearn(id);
+      } else {
+        router.SubmitVerify(id, rng.Pick(candidates));
+      }
+    };
+    for (int step = 0; step < 300; ++step) {
+      const int actions = static_cast<int>(rng.Range(1, 4));
+      for (int a = 0; a < actions; ++a) {
+        std::vector<PendingRound> rounds = router.PendingRounds();
+        most_awaiting = std::max(most_awaiting, rounds.size());
+        const int64_t kind = rng.Range(0, 9);
+        if (opened.empty() || kind == 0) {
+          const int64_t id = router.OpenPending(target.n());
+          ASSERT_GT(id, 0);
+          opened.push_back(id);
+          learner.push_back(rng.Chance(0.5));
+          submit(id);
+          continue;
+        }
+        const int64_t id =
+            opened[static_cast<size_t>(rng.Below(opened.size()))];
+        if (kind <= 2) {
+          submit(id);
+          continue;
+        }
+        if (kind == 9) {  // close, parked or running
+          close(id);
+          continue;
+        }
+        if (rounds.empty()) continue;
+        const PendingRound& round =
+            rounds[static_cast<size_t>(rng.Below(rounds.size()))];
+        const bool round_learns = learner[index_of(round.session_id)];
+        if (kind <= 4) {  // answer, then maybe close while it runs
+          BitSpan span = bits.Prepare(round.questions.size());
+          truth.IsAnswerBatch(round.questions, span);
+          answered += router.ProvideAnswers(round.session_id, round.round_id,
+                                            span) == ProvideOutcome::kResumed;
+          if (rng.Chance(0.2)) close(round.session_id);
+        } else if (kind == 5) {  // stale: a round id that is not pending
+          BitSpan span = bits.Prepare(round.questions.size());
+          const int64_t stale = round.round_id + (rng.Chance(0.5) ? 1 : -1);
+          EXPECT_EQ(router.ProvideAnswers(round.session_id, stale, span),
+                    ProvideOutcome::kStaleRound);
+        } else if (!round_learns) {  // correct an answered entry
+          const size_t entry = static_cast<size_t>(rng.Below(4));
+          corrected += router.CorrectAnswer(round.session_id, entry) ==
+                       ProvideOutcome::kResumed;
+        }
+      }
+      router.Drain();
+      ExpectPollMatchesScan(router, opened);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    // The mix reached every transition it is meant to test.
+    EXPECT_GE(opened.size(), 10u);
+    EXPECT_GT(answered, 0);
+    EXPECT_GT(corrected, 0);
+    EXPECT_GT(closed_parked, 0);
+    EXPECT_GT(closed_running, 0);
+    EXPECT_GE(most_awaiting, 10u);
+  }
+}
+
+TEST(RouterShardTest, PolledRoundsOutliveResumeCloseAndTeardown) {
+  // The rounds of one poll share their questions with the sessions. After
+  // the sessions answer, correct and close them, and after the router is
+  // gone, the held rounds must still read exactly what they read when
+  // polled.
+  const Query target = TestTarget();
+  const std::vector<Query> candidates = TestCandidates();
+  QueryOracle truth(target);
+  std::vector<PendingRound> held;
+  std::vector<std::vector<TupleSet>> copies;
+  {
+    SessionRouter::Options sopts;
+    sopts.shards = 2;
+    sopts.threads = 3;
+    SessionRouter router(sopts);
+    std::vector<int64_t> ids;
+    for (int i = 0; i < 9; ++i) {
+      int64_t id = router.OpenPending(target.n());
+      ASSERT_TRUE(router.SubmitVerify(id, candidates[0]));
+      ASSERT_TRUE(router.SubmitVerify(id, candidates[1 + i % 5]));
+      ids.push_back(id);
+    }
+    // Answer every first round, so the second one has an entry to correct.
+    BitVec bits;
+    router.Drain();
+    for (const PendingRound& round : router.PendingRounds()) {
+      BitSpan span = bits.Prepare(round.questions.size());
+      truth.IsAnswerBatch(round.questions, span);
+      ASSERT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
+                ProvideOutcome::kResumed);
+    }
+    router.Drain();
+    held = router.PendingRounds();
+    ASSERT_EQ(held.size(), ids.size());
+    for (const PendingRound& round : held) {
+      copies.emplace_back(round.questions.begin(), round.questions.end());
+    }
+    for (size_t i = 0; i < held.size(); ++i) {
+      const PendingRound& round = held[i];
+      switch (i % 3) {
+        case 0: {
+          BitSpan span = bits.Prepare(round.questions.size());
+          truth.IsAnswerBatch(round.questions, span);
+          EXPECT_EQ(
+              router.ProvideAnswers(round.session_id, round.round_id, span),
+              ProvideOutcome::kResumed);
+          break;
+        }
+        case 1:
+          EXPECT_EQ(router.CorrectAnswer(round.session_id, 0),
+                    ProvideOutcome::kResumed);
+          break;
+        default:
+          EXPECT_TRUE(router.Close(round.session_id));
+          break;
+      }
+    }
+    router.Drain();
+    for (int64_t id : ids) router.Close(id);
+  }
+  ASSERT_EQ(held.size(), copies.size());
+  for (size_t i = 0; i < held.size(); ++i) {
+    ASSERT_EQ(held[i].questions.size(), copies[i].size()) << i;
+    for (size_t q = 0; q < copies[i].size(); ++q) {
+      EXPECT_EQ(held[i].questions[q], copies[i][q]) << i << "/" << q;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
