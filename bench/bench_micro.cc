@@ -666,7 +666,7 @@ void BM_CanonicalDedup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(stream.size()));
-  state.SetLabel("hashed CanonicalForm keys (cached FNV)");
+  state.SetLabel("hashed CanonicalForm keys (cached word-mix hash)");
 }
 BENCHMARK(BM_CanonicalDedup)->Arg(16)->Arg(64);
 

@@ -23,21 +23,17 @@ TupleSet TupleSet::Parse(const std::vector<std::string>& literals) {
 }
 
 void TupleSet::Canonicalize() {
-  std::sort(tuples_.begin(), tuples_.end());
+  if (!std::is_sorted(tuples_.begin(), tuples_.end())) {
+    std::sort(tuples_.begin(), tuples_.end());
+  }
   tuples_.erase(std::unique(tuples_.begin(), tuples_.end()), tuples_.end());
   hash_valid_ = false;
 }
 
 void TupleSet::Rehash() const {
-  // FNV-1a over the canonical tuple list.
-  uint64_t h = kEmptyHash;
-  for (Tuple t : tuples_) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (t >> (8 * byte)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  }
-  hash_ = static_cast<size_t>(h);
+  WordHasher h;
+  for (Tuple t : tuples_) h.Mix(t);
+  hash_ = static_cast<size_t>(h.Finish());
   hash_valid_ = true;
 }
 

@@ -3,12 +3,15 @@
 // A membership question (§2.1.2) is an object: a *set* of Boolean tuples.
 // TupleSet keeps its tuples sorted and deduplicated so that equal objects
 // compare equal and hash equally — the caching oracle and the adversarial
-// oracles rely on this canonical form. The hash of the canonical tuple
+// oracles rely on this canonical form. Building from an already sorted
+// list skips the sort (one ordered pass plus the dedup), which is how the
+// learners' merge-built questions arrive. The hash of the canonical tuple
 // list is computed lazily on first use and cached, so Hash() is amortized
 // O(1) where it matters — the caching oracle probes its map once per
 // question and must not pay a full rehash each time — while the learners'
 // probe loops, which build thousands of questions that are never hashed,
-// pay nothing.
+// pay nothing. A rehash costs one multiply–xorshift step per tuple
+// (src/util/word_hash.h).
 
 #ifndef QHORN_BOOL_TUPLE_SET_H_
 #define QHORN_BOOL_TUPLE_SET_H_
@@ -20,15 +23,23 @@
 #include <vector>
 
 #include "src/bool/tuple.h"
+#include "src/util/word_hash.h"
 
 namespace qhorn {
 
 /// A set of Boolean tuples (an object of the nested relation).
 class TupleSet {
  public:
+  /// The hash of the empty tuple list. A default-constructed set carries
+  /// it without ever rehashing, so Rehash must produce exactly this value
+  /// for an empty list too.
+  static constexpr size_t kEmptyHash =
+      static_cast<size_t>(WordHasher().Finish());
+
   TupleSet() = default;
 
-  /// From raw masks; duplicates are removed.
+  /// From raw masks in any order; duplicates are removed. An ascending
+  /// list is not re-sorted.
   explicit TupleSet(std::vector<Tuple> tuples);
   TupleSet(std::initializer_list<Tuple> tuples);
 
@@ -72,11 +83,14 @@ class TupleSet {
     return a.tuples_ == b.tuples_;
   }
 
-  /// Stable hash of the canonical tuple list (computed lazily, then
-  /// cached until the next mutation). NOTE: the lazy fill mutates shared
-  /// state from a const method; concurrent first-Hash() calls on one
-  /// object are a data race. A parallel oracle backend must pre-hash its
-  /// questions (call Hash() once before sharing) or synchronize.
+  /// Stable hash of the canonical tuple list: the WordHasher over the
+  /// tuples in ascending order (computed lazily, then cached until the
+  /// next mutation). Equal sets hash equal; only unordered containers see
+  /// the value, so it may change between releases. NOTE: the lazy fill
+  /// mutates shared state from a const method; concurrent first-Hash()
+  /// calls on one object are a data race. A parallel oracle backend must
+  /// pre-hash its questions (call Hash() once before sharing) or
+  /// synchronize.
   size_t Hash() const {
     if (!hash_valid_) Rehash();
     return hash_;
@@ -92,10 +106,6 @@ class TupleSet {
   std::vector<Tuple> tuples_;  // sorted ascending, unique
   mutable size_t hash_ = kEmptyHash;
   mutable bool hash_valid_ = true;  // empty list hashes to kEmptyHash
-
-  // FNV-1a offset basis: the hash of the empty tuple list.
-  static constexpr size_t kEmptyHash =
-      static_cast<size_t>(1469598103934665603ULL);
 };
 
 /// Hash functor for unordered containers keyed by objects.

@@ -137,7 +137,7 @@ std::vector<Query> EnumerateRolePreserving(int n) {
     if (!has_empty) exist_families.push_back(family);
   }
 
-  // Dedup on the hashed canonical form itself (cached FNV, the TupleSet
+  // Dedup on the hashed canonical form itself (cached word hash, the TupleSet
   // idiom) — the ToString() keys this replaces were the canonical-form
   // bottleneck: one string render plus a lexicographic map probe per
   // candidate. Results keep the deterministic first-encounter order of the

@@ -4,6 +4,7 @@
 
 #include "src/core/compiled_query.h"
 #include "src/util/check.h"
+#include "src/util/word_hash.h"
 
 namespace qhorn {
 
@@ -114,26 +115,20 @@ bool Equivalent(const Query& a, const Query& b) {
 
 size_t CanonicalForm::Hash() const {
   if (hash_valid_) return hash_;
-  // FNV-1a over the structure in its canonical iteration order. Lengths
-  // are mixed in so ({a,b},{}) and ({a},{b}) cannot collide structurally.
-  constexpr size_t kPrime = 1099511628211ULL;
-  size_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (value >> (byte * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
-  mix(static_cast<uint64_t>(n));
-  mix(universal.size());
+  // One word per field, in the structure's canonical iteration order.
+  // Lengths are mixed in so ({a,b},{}) and ({a},{b}) cannot collide
+  // structurally.
+  WordHasher h;
+  h.Mix(static_cast<uint64_t>(n));
+  h.Mix(universal.size());
   for (const auto& [head, bodies] : universal) {
-    mix(static_cast<uint64_t>(head));
-    mix(bodies.size());
-    for (VarSet body : bodies) mix(body);
+    h.Mix(static_cast<uint64_t>(head));
+    h.Mix(bodies.size());
+    for (VarSet body : bodies) h.Mix(body);
   }
-  mix(existential.size());
-  for (VarSet vars : existential) mix(vars);
-  hash_ = h;
+  h.Mix(existential.size());
+  for (VarSet vars : existential) h.Mix(vars);
+  hash_ = static_cast<size_t>(h.Finish());
   hash_valid_ = true;
   return hash_;
 }

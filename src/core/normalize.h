@@ -53,12 +53,12 @@ struct CanonicalForm {
            a.existential == b.existential;
   }
 
-  /// Stable FNV-1a hash over the canonical structure, cached after the
-  /// first call (the TupleSet idiom: forms are built once, then probed
-  /// repeatedly as dedup / compiled-cache keys). Callers that mutate a
-  /// form after hashing must not reuse it as a key. NOTE: like
-  /// TupleSet::Hash, the lazy fill writes shared state from a const
-  /// method; hash before sharing a form across threads.
+  /// Stable word-mix hash (src/util/word_hash.h) over the canonical
+  /// structure, cached after the first call (the TupleSet idiom: forms
+  /// are built once, then probed repeatedly as dedup / compiled-cache
+  /// keys). Callers that mutate a form after hashing must not reuse it as
+  /// a key. NOTE: like TupleSet::Hash, the lazy fill writes shared state
+  /// from a const method; hash before sharing a form across threads.
   size_t Hash() const;
 
   /// Human-readable rendering (for test failure messages).

@@ -1,6 +1,7 @@
 #include "src/learn/rp_existential.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "src/bool/lattice.h"
@@ -116,13 +117,16 @@ class LatticeSearch {
         if (consecutive_non_answers < sequential_threshold) {
           // Sequential regime: probe the front tuple alone — bit-for-bit
           // the classic Algorithm 7/8 walk, with base and children built
-          // once and shared between the probe and the prune.
+          // once and shared between the probe and the prune. The base is
+          // sorted once here, so every question joined onto it below (the
+          // probe and each MinimalSubset step) is a linear merge.
           Tuple t = pending[head];
           std::vector<Tuple> base = discovered;
           base.insert(base.end(),
                       pending.begin() + static_cast<long>(head) + 1,
                       pending.end());
           base.insert(base.end(), next.begin(), next.end());
+          SortUnique(&base);
           const std::vector<Tuple>& children = ViolationFreeChildren(t);
           ++result.trace.rounds;
           if (!Ask(Join(base, children), &result.trace)) {
@@ -193,18 +197,16 @@ class LatticeSearch {
         std::vector<Tuple> base = discovered;
         base.insert(base.end(), unresolved.begin(), unresolved.end());
         base.insert(base.end(), next.begin(), next.end());
+        SortUnique(&base);
         substitute(base, ViolationFreeChildren(acted));
         ++head;
       }
       // Children reached from several parents appear once.
-      std::sort(next.begin(), next.end());
-      next.erase(std::unique(next.begin(), next.end()), next.end());
+      SortUnique(&next);
       frontier = std::move(next);
     }
 
-    std::sort(discovered.begin(), discovered.end());
-    discovered.erase(std::unique(discovered.begin(), discovered.end()),
-                     discovered.end());
+    SortUnique(&discovered);
     for (Tuple t : discovered) result.conjunctions.push_back(t);
     return result;
   }
@@ -215,10 +217,28 @@ class LatticeSearch {
     return oracle_->IsAnswer(question);
   }
 
-  static TupleSet Join(const std::vector<Tuple>& base,
-                       const std::vector<Tuple>& extra) {
-    std::vector<Tuple> all = base;
-    all.insert(all.end(), extra.begin(), extra.end());
+  static void SortUnique(std::vector<Tuple>* tuples) {
+    std::sort(tuples->begin(), tuples->end());
+    tuples->erase(std::unique(tuples->begin(), tuples->end()), tuples->end());
+  }
+
+  /// The question base ∪ extra. Precondition: `base` is sorted ascending
+  /// and duplicate-free — both callers sort it once per substitution, and
+  /// one MinimalSubset search joins that same base with every candidate
+  /// subset. `extra` (at most n lattice children, in walk order) is sorted
+  /// in a scratch copy and merged in, so the question is built in one
+  /// linear pass; the TupleSet constructor sees an ascending list and only
+  /// drops the tuples the two halves share.
+  TupleSet Join(const std::vector<Tuple>& base,
+                const std::vector<Tuple>& extra) {
+    QHORN_DCHECK(std::adjacent_find(base.begin(), base.end(),
+                                    std::greater_equal<Tuple>()) ==
+                 base.end());
+    extra_scratch_.assign(extra.begin(), extra.end());
+    std::sort(extra_scratch_.begin(), extra_scratch_.end());
+    std::vector<Tuple> all(base.size() + extra_scratch_.size());
+    std::merge(base.begin(), base.end(), extra_scratch_.begin(),
+               extra_scratch_.end(), all.begin());
     return TupleSet(std::move(all));
   }
 
@@ -240,6 +260,7 @@ class LatticeSearch {
   RpExistentialOptions opts_;
   std::set<Tuple> guarantee_closures_;
   std::vector<Tuple> children_scratch_;
+  std::vector<Tuple> extra_scratch_;  // Join's sorted copy of `extra`
   BitVec batch_answers_;
 };
 

@@ -18,8 +18,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,6 +267,12 @@ TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
   // parked and of running sessions. Learner sessions only ever get
   // truthful answers; corrections go to verifier sessions, whose jobs
   // stay finite whatever the user says.
+  //
+  // The mix is a pure function of the seed. Each step's actions read one
+  // poll taken after Drain, and an action skips a session an earlier
+  // action of the same step already touched, so no action ever reads
+  // state that a lane is still changing. A close "while running" holds a
+  // job on a latch, so the session is running when the close lands.
   const Query target = TestTarget();
   const std::vector<Query> candidates = TestCandidates();
   QueryOracle truth(target);
@@ -283,12 +291,6 @@ TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
     int closed_parked = 0;
     int closed_running = 0;
     size_t most_awaiting = 0;
-    auto close = [&](int64_t id) {
-      const std::optional<SessionStatus> was = router.status(id);
-      if (!router.Close(id)) return;
-      closed_parked += was == SessionStatus::kAwaitingUser;
-      closed_running += was == SessionStatus::kRunning;
-    };
     auto index_of = [&](int64_t id) {
       return static_cast<size_t>(
           std::lower_bound(opened.begin(), opened.end(), id) -
@@ -301,11 +303,28 @@ TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
         router.SubmitVerify(id, rng.Pick(candidates));
       }
     };
+    // Closes a session no action of this step has touched: a parked one
+    // as it is, an idle one behind a job held on a latch.
+    auto close = [&](int64_t id) {
+      if (router.status(id) == SessionStatus::kAwaitingUser) {
+        closed_parked += router.Close(id);
+        return;
+      }
+      // Idle, or closed already (which refuses the job).
+      auto latch = std::make_shared<std::latch>(1);
+      if (!router.Submit(id, [latch](QuerySession&) { latch->wait(); })) {
+        return;
+      }
+      EXPECT_EQ(router.status(id), SessionStatus::kRunning);
+      closed_running += router.Close(id);
+      latch->count_down();
+    };
     for (int step = 0; step < 300; ++step) {
+      const std::vector<PendingRound> rounds = router.PendingRounds();
+      most_awaiting = std::max(most_awaiting, rounds.size());
+      std::set<int64_t> touched;
       const int actions = static_cast<int>(rng.Range(1, 4));
       for (int a = 0; a < actions; ++a) {
-        std::vector<PendingRound> rounds = router.PendingRounds();
-        most_awaiting = std::max(most_awaiting, rounds.size());
         const int64_t kind = rng.Range(0, 9);
         if (opened.empty() || kind == 0) {
           const int64_t id = router.OpenPending(target.n());
@@ -313,28 +332,37 @@ TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
           opened.push_back(id);
           learner.push_back(rng.Chance(0.5));
           submit(id);
+          touched.insert(id);
           continue;
         }
         const int64_t id =
             opened[static_cast<size_t>(rng.Below(opened.size()))];
         if (kind <= 2) {
           submit(id);
+          touched.insert(id);
           continue;
         }
         if (kind == 9) {  // close, parked or running
-          close(id);
+          if (touched.insert(id).second) close(id);
           continue;
         }
         if (rounds.empty()) continue;
         const PendingRound& round =
             rounds[static_cast<size_t>(rng.Below(rounds.size()))];
+        if (!touched.insert(round.session_id).second) continue;
         const bool round_learns = learner[index_of(round.session_id)];
         if (kind <= 4) {  // answer, then maybe close while it runs
           BitSpan span = bits.Prepare(round.questions.size());
           truth.IsAnswerBatch(round.questions, span);
-          answered += router.ProvideAnswers(round.session_id, round.round_id,
-                                            span) == ProvideOutcome::kResumed;
-          if (rng.Chance(0.2)) close(round.session_id);
+          EXPECT_EQ(
+              router.ProvideAnswers(round.session_id, round.round_id, span),
+              ProvideOutcome::kResumed);
+          ++answered;
+          // Races the resumed runner, which may be re-parking: whichever
+          // wins, the poll after Drain must not list the session.
+          if (rng.Chance(0.2)) {
+            EXPECT_TRUE(router.Close(round.session_id));
+          }
         } else if (kind == 5) {  // stale: a round id that is not pending
           BitSpan span = bits.Prepare(round.questions.size());
           const int64_t stale = round.round_id + (rng.Chance(0.5) ? 1 : -1);
@@ -346,6 +374,7 @@ TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
                        ProvideOutcome::kResumed;
         }
       }
+      if (::testing::Test::HasFatalFailure()) return;
       router.Drain();
       ExpectPollMatchesScan(router, opened);
       if (::testing::Test::HasFatalFailure()) return;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "src/util/rng.h"
 
 namespace qhorn {
@@ -87,6 +90,45 @@ TEST(TupleSetTest, CachedHashStaysInSyncThroughMutations) {
   }
   TupleSet u = s.Union(TupleSet{1, 2, 3});
   EXPECT_EQ(u.Hash(), TupleSet(u.tuples()).Hash());
+}
+
+TEST(TupleSetTest, EveryEmptySetHashesToTheEmptyConstant) {
+  // A default-constructed set never rehashes; every other way of reaching
+  // the empty list does, and must land on the same value.
+  EXPECT_EQ(TupleSet().Hash(), TupleSet::kEmptyHash);
+  TupleSet emptied{5};
+  ASSERT_NE(emptied.Hash(), TupleSet::kEmptyHash);
+  emptied.Remove(5);
+  EXPECT_EQ(emptied.Hash(), TupleSet::kEmptyHash);
+  EXPECT_EQ(TupleSet(std::vector<Tuple>{}).Hash(), TupleSet::kEmptyHash);
+  EXPECT_EQ(TupleSet().Union(TupleSet()).Hash(), TupleSet::kEmptyHash);
+}
+
+TEST(TupleSetTest, DistinctObjectsHashApart) {
+  // No two distinct objects share a hash: exhaustively over every object
+  // of at most two tuples at n = 8 (the learners' probe shape), then over
+  // random wide objects at n = 32 (the lattice walk's question shape).
+  std::unordered_map<size_t, TupleSet> seen;
+  auto record = [&seen](const TupleSet& s) {
+    auto [it, inserted] = seen.emplace(s.Hash(), s);
+    if (!inserted && it->second != s) {
+      ADD_FAILURE() << s.ToString(32) << " and " << it->second.ToString(32)
+                    << " share hash " << s.Hash();
+    }
+  };
+  record(TupleSet());
+  for (Tuple a = 0; a < 256; ++a) {
+    record(TupleSet{a});
+    for (Tuple b = a + 1; b < 256; ++b) record(TupleSet{a, b});
+  }
+  ASSERT_EQ(seen.size(), 1u + 256u + 256u * 255u / 2u);
+  Rng rng(23);
+  for (int i = 0; i < 10000; ++i) {
+    std::vector<Tuple> tuples(static_cast<size_t>(rng.Range(8, 64)));
+    for (Tuple& t : tuples) t = rng.Next() & AllTrue(32);
+    record(TupleSet(std::move(tuples)));
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(TupleSetTest, SatisfiesConjunctionAllMatchesPerMaskScans) {
