@@ -211,6 +211,41 @@ void BM_CachingOracleHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CachingOracleHit);
 
+// The cache layer alone over one `learn_wide`-shaped session: a fresh
+// CachingOracle takes 2000 distinct 16-tuple questions at n = 32, every
+// one a miss, then is destroyed. The inner oracle answers from the
+// question's size, so the number is the cache's probe, insert, growth and
+// teardown cost. The questions are pre-hashed, as the learners' are by the
+// time the cache sees them twice.
+void BM_CachingOracleMissStream(benchmark::State& state) {
+  class SizeParityOracle : public MembershipOracle {
+   public:
+    bool IsAnswer(const TupleSet& question) override {
+      return question.size() % 2 == 1;
+    }
+  } inner;
+  const int n = 32;
+  const size_t kQuestions = 2000;
+  Rng rng(4);
+  std::vector<TupleSet> questions;
+  while (questions.size() < kQuestions) {
+    TupleSet q;
+    while (q.size() < 16) q.Add(rng.Below(uint64_t{1} << n));
+    q.Hash();
+    questions.push_back(std::move(q));
+  }
+  for (auto _ : state) {
+    CachingOracle caching(&inner);
+    for (const TupleSet& q : questions) {
+      benchmark::DoNotOptimize(caching.IsAnswer(q));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kQuestions));
+  state.SetLabel("fresh cache, 2000 distinct 16-tuple misses at n=32");
+}
+BENCHMARK(BM_CachingOracleMissStream);
+
 // The pre-worklist fixpoint re-scan, kept as the in-tree reference the
 // worklist closure is measured against (shared by both Legacy closures).
 VarSet FixpointClosure(const Query& q, VarSet vars) {

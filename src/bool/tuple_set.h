@@ -7,7 +7,7 @@
 // list skips the sort (one ordered pass plus the dedup), which is how the
 // learners' merge-built questions arrive. The hash of the canonical tuple
 // list is computed lazily on first use and cached, so Hash() is amortized
-// O(1) where it matters — the caching oracle probes its map once per
+// O(1) where it matters — the caching oracle probes its table once per
 // question and must not pay a full rehash each time — while the learners'
 // probe loops, which build thousands of questions that are never hashed,
 // pay nothing. A rehash costs one multiply–xorshift step per tuple
@@ -85,8 +85,8 @@ class TupleSet {
 
   /// Stable hash of the canonical tuple list: the WordHasher over the
   /// tuples in ascending order (computed lazily, then cached until the
-  /// next mutation). Equal sets hash equal; only unordered containers see
-  /// the value, so it may change between releases. NOTE: the lazy fill
+  /// next mutation). Equal sets hash equal; only hash tables see the
+  /// value, so it may change between releases. NOTE: the lazy fill
   /// mutates shared state from a const method; concurrent first-Hash()
   /// calls on one object are a data race. A parallel oracle backend must
   /// pre-hash its questions (call Hash() once before sharing) or
@@ -106,11 +106,6 @@ class TupleSet {
   std::vector<Tuple> tuples_;  // sorted ascending, unique
   mutable size_t hash_ = kEmptyHash;
   mutable bool hash_valid_ = true;  // empty list hashes to kEmptyHash
-};
-
-/// Hash functor for unordered containers keyed by objects.
-struct TupleSetHash {
-  size_t operator()(const TupleSet& s) const { return s.Hash(); }
 };
 
 }  // namespace qhorn

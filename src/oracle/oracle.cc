@@ -1,6 +1,10 @@
 #include "src/oracle/oracle.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <utility>
+
+#include "src/util/check.h"
 
 namespace qhorn {
 
@@ -40,23 +44,78 @@ void CountingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   }
 }
 
+CachingOracle::Probed CachingOracle::Probe(const TupleSet& question,
+                                           uint64_t hash) const {
+  if (slots_.empty()) return {0, kEmpty};
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.state() == kEmpty ||
+        (slot.hash == hash && slot.size() == question.size() &&
+         std::equal(question.begin(), question.end(),
+                    pool_.begin() + slot.offset))) {
+      return {i, slot.state()};
+    }
+  }
+}
+
+size_t CachingOracle::Insert(const TupleSet& question, uint64_t hash,
+                             size_t slot, State state) {
+  QHORN_CHECK(question.size() <= (UINT32_MAX >> 2) &&
+              pool_.size() + question.size() <= UINT32_MAX);
+  if (2 * (count_ + 1) > slots_.size()) {
+    Grow();
+    slot = Probe(question, hash).slot;  // absent: an empty slot
+  }
+  slots_[slot] = Slot{hash, static_cast<uint32_t>(pool_.size()),
+                      static_cast<uint32_t>(question.size() << 2) | state};
+  pool_.insert(pool_.end(), question.begin(), question.end());
+  ++count_;
+  return slot;
+}
+
+void CachingOracle::Grow() {
+  std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(std::max(kInitialSlots, slots_.size() * 2)));
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.state() == kEmpty) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].state() != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+void CachingOracle::Erase(size_t slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t hole = slot;
+  for (size_t j = (hole + 1) & mask; slots_[j].state() != kEmpty;
+       j = (j + 1) & mask) {
+    // Slot j may move back into the hole unless its home lies in
+    // (hole, j], where the hole does not break its probe path.
+    size_t home = slots_[j].hash & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --count_;
+}
+
 bool CachingOracle::IsAnswer(const TupleSet& question) {
-  auto it = cache_.find(question);
-  if (it != cache_.end()) {
+  uint64_t hash = question.Hash();
+  Probed probed = Probe(question, hash);
+  if (probed.state != kEmpty) {
     ++hits_;
-    return it->second;
+    return probed.state == kYes;
   }
+  // A cancelled parked round (pending backend) unwinds by throwing here;
+  // nothing has been inserted or counted yet, so the unanswered question
+  // leaves the cache untouched.
+  bool answer = inner_->IsAnswer(question);
   ++misses_;
-  bool answer;
-  try {
-    answer = inner_->IsAnswer(question);
-  } catch (...) {
-    // A cancelled parked round (pending backend) unwinds by throwing; the
-    // unanswered question must leave the cache state untouched.
-    --misses_;
-    throw;
-  }
-  cache_.emplace(question, answer);
+  Insert(question, hash, probed.slot, answer ? kYes : kNo);
   return answer;
 }
 
@@ -65,28 +124,31 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   // Partition in question order. A duplicate of an earlier miss in the same
   // round counts as a hit (the sequential path would have cached the first
   // occurrence before seeing the second), so the forwarded batch holds each
-  // unseen question exactly once, in first-occurrence order. One map probe
-  // per question: the per-question cache slots are remembered (references
-  // into an unordered_map survive rehashing) and patched after the inner
-  // round answers the misses. (An empty round falls through every loop: no
-  // probes, no forward.)
+  // unseen question exactly once, in first-occurrence order. One probe per
+  // question: each miss gets a kPending placeholder, which is what a later
+  // duplicate in the round finds, and every question's slot is remembered
+  // and patched or read after the inner round answers the misses. An insert
+  // that doubles the table moves the slots, so such a round re-probes them
+  // once. (An empty round falls through every loop: no probes, no forward.)
+  const size_t round_pool = pool_.size();
+  const size_t round_slots = slots_.size();
   miss_indices_.clear();
-  miss_slots_.clear();
-  slots_.clear();
+  slot_of_.clear();
   bool contiguous = true;
   for (size_t i = 0; i < questions.size(); ++i) {
-    auto [it, inserted] = cache_.try_emplace(questions[i], false);
-    if (inserted) {
+    uint64_t hash = questions[i].Hash();
+    auto [slot, state] = Probe(questions[i], hash);
+    if (state == kEmpty) {
       ++misses_;
       if (!miss_indices_.empty() && miss_indices_.back() + 1 != i) {
         contiguous = false;
       }
       miss_indices_.push_back(i);
-      miss_slots_.push_back(&it->second);
+      slot = Insert(questions[i], hash, slot, kPending);
     } else {
       ++hits_;
     }
-    slots_.push_back(&it->second);
+    slot_of_.push_back(slot);
   }
   if (!miss_indices_.empty()) {
     BitSpan miss_bits = miss_answers_.Prepare(miss_indices_.size());
@@ -110,22 +172,35 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
         inner_->IsAnswerBatch(miss_questions_, miss_bits);
       }
     } catch (...) {
-      // Cancelled parked round (pending backend): erase the false
-      // placeholders inserted above and roll the counters back, so the
-      // cache holds exactly the pre-round state.
-      // miss_indices_ records first occurrences only, so each erase removes
-      // one distinct placeholder key.
-      for (size_t idx : miss_indices_) cache_.erase(questions[idx]);
+      // Cancelled parked round (pending backend): erase this round's
+      // placeholders newest first, truncate the pool to its pre-round
+      // length and roll the counters back, so the cache holds exactly the
+      // pre-round questions. Each placeholder is found by content: an
+      // earlier erase or a doubling may have moved it.
+      for (size_t k = miss_indices_.size(); k-- > 0;) {
+        const TupleSet& q = questions[miss_indices_[k]];
+        Erase(Probe(q, q.Hash()).slot);
+      }
+      pool_.resize(round_pool);
       misses_ -= static_cast<int64_t>(miss_indices_.size());
       hits_ -=
           static_cast<int64_t>(questions.size() - miss_indices_.size());
       throw;
     }
-    for (size_t i = 0; i < miss_indices_.size(); ++i) {
-      *miss_slots_[i] = miss_bits.Get(i);
+    if (slots_.size() != round_slots) {
+      for (size_t i = 0; i < questions.size(); ++i) {
+        slot_of_[i] = Probe(questions[i], questions[i].Hash()).slot;
+      }
+    }
+    for (size_t k = 0; k < miss_indices_.size(); ++k) {
+      Slot& slot = slots_[slot_of_[miss_indices_[k]]];
+      slot.size_state = (slot.size_state & ~3u) |
+                        (miss_bits.Get(k) ? kYes : kNo);
     }
   }
-  for (size_t i = 0; i < slots_.size(); ++i) answers.Set(i, *slots_[i]);
+  for (size_t i = 0; i < questions.size(); ++i) {
+    answers.Set(i, slots_[slot_of_[i]].state() == kYes);
+  }
 }
 
 bool NoisyOracle::MaybeFlip(bool answer) {

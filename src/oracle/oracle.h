@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/bool/tuple_set.h"
@@ -143,19 +142,36 @@ class CountingOracle : public MembershipOracle {
 /// Decorator that memoizes responses, so repeated identical questions cost
 /// nothing. The role-preserving universal-body search re-examines lattice
 /// roots as new bodies are found; the paper's counting convention charges a
-/// question once, which this decorator implements. Probes are cheap:
-/// TupleSet caches its canonical-form hash, so a lookup never rehashes the
-/// tuple list. A batch forwards only its unique misses to the wrapped
-/// oracle — duplicates within a round and questions answered in earlier
-/// rounds are served from the cache, exactly as the sequential path would.
-/// When the misses form one contiguous run (the common shapes: an all-fresh
-/// round, or hits only at the edges), the forward is a subspan of the
-/// caller's own span — an index-based view, no TupleSet is copied however
-/// wide the round; only rounds with hits *interleaved between* misses fall
-/// back to gathering the misses into a scratch vector.
+/// question once, which this decorator implements.
+///
+/// The store is one flat open-addressed table: a power-of-two slot array
+/// with linear probing at most half full, indexing one pool that holds
+/// every cached question's tuples back to back. A slot is 16 bytes — the
+/// question's full TupleSet::Hash(), its pool offset and size, and its
+/// state — so a probe compares hashes first and touches the pool only on
+/// a hash-and-size match, and growth re-places slots from their stored
+/// hashes without reading the pool. A miss copies the question's tuples
+/// once, onto the end of the pool; there is no per-entry allocation. The
+/// first table has kInitialSlots slots, so a short session pays for a few
+/// hundred bytes, not for the ~2000 questions of a wide one.
+///
+/// A batch forwards only its unique misses to the wrapped oracle —
+/// duplicates within a round and questions answered in earlier rounds are
+/// served from the cache, exactly as the sequential path would. When the
+/// misses form one contiguous run (the common shapes: an all-fresh round,
+/// or hits only at the edges), the forward is a subspan of the caller's
+/// own span — an index-based view, no TupleSet is copied however wide the
+/// round; only rounds with hits *interleaved between* misses fall back to
+/// gathering the misses into a scratch vector. A round the wrapped oracle
+/// cancels by throwing leaves the table, the pool and the counters as they
+/// were before it.
 class CachingOracle : public MembershipOracle {
  public:
-  using CacheMap = std::unordered_map<TupleSet, bool, TupleSetHash>;
+  /// Slots in the first table, allocated by the first insert (so opening
+  /// a session allocates nothing here). The table doubles before an insert
+  /// would fill more than half of it, so the first table holds
+  /// kInitialSlots / 2 questions.
+  static constexpr size_t kInitialSlots = 16;
 
   explicit CachingOracle(MembershipOracle* inner) : inner_(inner) {}
 
@@ -165,10 +181,47 @@ class CachingOracle : public MembershipOracle {
 
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
+  /// Cached questions, and the table's current slot count (0 before the
+  /// first insert).
+  size_t size() const { return count_; }
+  size_t slot_count() const { return slots_.size(); }
 
  private:
+  // kPending marks a batch's placeholder between its insert and the
+  // wrapped oracle's answer; it never outlives an IsAnswerBatch call.
+  enum State : uint32_t { kEmpty = 0, kNo = 1, kYes = 2, kPending = 3 };
+
+  struct Slot {
+    uint64_t hash = 0;        // the question's TupleSet::Hash()
+    uint32_t offset = 0;      // first tuple in pool_
+    uint32_t size_state = 0;  // tuple count << 2 | State
+
+    State state() const { return static_cast<State>(size_state & 3); }
+    size_t size() const { return size_state >> 2; }
+  };
+  static_assert(sizeof(Slot) == 16);
+
+  // The slot holding `question` and its state, or the empty slot that
+  // ends its probe and kEmpty (slot 0 while no table is allocated).
+  struct Probed {
+    size_t slot;
+    State state;
+  };
+  Probed Probe(const TupleSet& question, uint64_t hash) const;
+  // Fills the empty slot `slot` (found by Probe for this question) with
+  // `question` in `state`, doubling the table first if it would pass half
+  // full; returns the slot the question landed in.
+  size_t Insert(const TupleSet& question, uint64_t hash, size_t slot,
+                State state);
+  void Grow();
+  // Backward-shift deletion: empties `slot` and moves later members of
+  // its cluster back so every remaining question stays reachable.
+  void Erase(size_t slot);
+
   MembershipOracle* inner_;
-  CacheMap cache_;
+  std::vector<Slot> slots_;  // empty, or power-of-two size at most half full
+  std::vector<Tuple> pool_;  // every cached question's tuples, in order
+  size_t count_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
   // Round-local scratch, members so a steady-state round allocates
@@ -176,8 +229,7 @@ class CachingOracle : public MembershipOracle {
   // a *different* oracle object (the stack is a chain, not a cycle).
   std::vector<size_t> miss_indices_;
   std::vector<TupleSet> miss_questions_;  // gather fallback only
-  std::vector<bool*> miss_slots_;
-  std::vector<const bool*> slots_;
+  std::vector<size_t> slot_of_;           // per question of the round
   BitVec miss_answers_;
 };
 

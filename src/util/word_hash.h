@@ -11,7 +11,7 @@
 // collide. The multiply carries low bits upward and the xorshift folds the
 // high half back down, so a difference anywhere in a word reaches every
 // later step. Finish applies a full avalanche (MurmurHash3's fmix64) so
-// the low bits an unordered container buckets on depend on every bit of
+// the low bits a hash table picks its slot from depend on every bit of
 // the state.
 //
 // Not a keyed or adversarially robust hash: the keys are the library's own

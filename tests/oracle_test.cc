@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <span>
 #include <vector>
 
 #include "src/util/bit_span.h"
+#include "src/util/rng.h"
 
 namespace qhorn {
 namespace {
@@ -63,6 +68,244 @@ TEST(CachingOracleTest, CanonicalFormMakesPermutationsHit) {
   caching.IsAnswer(TupleSet::Parse({"10", "01"}));
   caching.IsAnswer(TupleSet::Parse({"01", "10"}));  // same object
   EXPECT_EQ(caching.hits(), 1);
+}
+
+// What a cancelled parked round throws in these tests.
+struct Cancelled {};
+
+// Inner oracle for the cache tests: answers by a fixed content rule,
+// records every question it answers, and while `cancel` is set throws
+// Cancelled instead — after recording the refused round in `cancelled`.
+class SpyOracle : public MembershipOracle {
+ public:
+  static bool Rule(const TupleSet& question) {
+    Tuple folded = 0;
+    for (Tuple t : question) folded ^= t;
+    return std::popcount(folded) % 2 == 1;
+  }
+
+  bool IsAnswer(const TupleSet& question) override {
+    return Answer({&question, 1}).front();
+  }
+
+  void IsAnswerBatch(std::span<const TupleSet> questions,
+                     BitSpan answers) override {
+    std::vector<bool> bits = Answer(questions);
+    for (size_t i = 0; i < bits.size(); ++i) answers.Set(i, bits[i]);
+  }
+
+  bool cancel = false;
+  std::vector<std::vector<Tuple>> asked;      // answered, in order
+  std::vector<std::vector<Tuple>> cancelled;  // refused, in order
+
+ private:
+  std::vector<bool> Answer(std::span<const TupleSet> questions) {
+    std::vector<bool> bits;
+    for (const TupleSet& q : questions) {
+      (cancel ? cancelled : asked).push_back(q.tuples());
+      bits.push_back(Rule(q));
+    }
+    if (cancel) throw Cancelled{};
+    return bits;
+  }
+};
+
+TupleSet RandomQuestion(Rng& rng, int n, int min_tuples, int max_tuples) {
+  std::vector<Tuple> tuples(
+      static_cast<size_t>(rng.Range(min_tuples, max_tuples)));
+  for (Tuple& t : tuples) t = rng.Next() & AllTrue(n);
+  return TupleSet(std::move(tuples));
+}
+
+// Asks `round` as one batch and returns its answers.
+std::vector<bool> AskRound(MembershipOracle& oracle,
+                           const std::vector<TupleSet>& round) {
+  BitVec bits;
+  BitSpan answers = bits.Prepare(round.size());
+  oracle.IsAnswerBatch(round, answers);
+  std::vector<bool> out;
+  for (size_t i = 0; i < round.size(); ++i) out.push_back(answers.Get(i));
+  return out;
+}
+
+TEST(CachingOracleRollbackTest, CancelledQuestionIsForwardedAgain) {
+  SpyOracle spy;
+  CachingOracle cache(&spy);
+  TupleSet earlier = TupleSet::Parse({"1100", "0011"});
+  TupleSet q = TupleSet::Parse({"1010", "0101", "1111"});
+  EXPECT_EQ(cache.slot_count(), 0u) << "the table is allocated by an insert";
+  cache.IsAnswer(earlier);
+  spy.cancel = true;
+  EXPECT_THROW(cache.IsAnswer(q), Cancelled);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), 0);
+  EXPECT_EQ(cache.size(), 1u);
+  spy.cancel = false;
+  EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+  ASSERT_EQ(spy.asked.size(), 2u) << "the cancelled question was not re-asked";
+  EXPECT_EQ(spy.asked.back(), q.tuples());
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+  EXPECT_EQ(cache.hits(), 1);
+  EXPECT_EQ(spy.asked.size(), 2u);
+}
+
+TEST(CachingOracleRollbackTest, CancelledRoundRestoresHitsMissesAndEntries) {
+  SpyOracle spy;
+  CachingOracle cache(&spy);
+  Rng rng(5);
+  std::vector<TupleSet> cached;
+  for (int i = 0; i < 5; ++i) {
+    cached.push_back(RandomQuestion(rng, 32, 1, 16));
+  }
+  for (const TupleSet& q : cached) cache.IsAnswer(q);
+  TupleSet m1 = RandomQuestion(rng, 32, 1, 16);
+  TupleSet m2 = RandomQuestion(rng, 32, 1, 16);
+  TupleSet m3 = RandomQuestion(rng, 32, 1, 16);
+  // Hits between the misses force the gather path; m1 repeats.
+  std::vector<TupleSet> round = {m1, cached[0], m2, m1, cached[3], m3};
+  const int64_t hits = cache.hits();
+  const int64_t misses = cache.misses();
+  const size_t forwarded = spy.asked.size();
+
+  spy.cancel = true;
+  EXPECT_THROW(AskRound(cache, round), Cancelled);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.size(), cached.size());
+  std::vector<std::vector<Tuple>> refused = spy.cancelled;
+  ASSERT_EQ(refused.size(), 3u);
+
+  spy.cancel = false;
+  for (const TupleSet& q : cached) {
+    EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+  }
+  EXPECT_EQ(cache.hits(), hits + static_cast<int64_t>(cached.size()));
+  EXPECT_EQ(spy.asked.size(), forwarded) << "a pre-round question missed";
+
+  std::vector<bool> answers = AskRound(cache, round);
+  for (size_t i = 0; i < round.size(); ++i) {
+    EXPECT_EQ(answers[i], SpyOracle::Rule(round[i])) << "question " << i;
+  }
+  std::vector<std::vector<Tuple>> replayed(spy.asked.begin() + forwarded,
+                                           spy.asked.end());
+  EXPECT_EQ(replayed, refused);
+  EXPECT_EQ(replayed, (std::vector<std::vector<Tuple>>{
+                          m1.tuples(), m2.tuples(), m3.tuples()}));
+}
+
+TEST(CachingOracleRollbackTest, RollbackMovesDisplacedSlotsBack) {
+  // White-box layout: a question's home slot is the low bits of its hash.
+  // Every question below has home 12 in the 16-slot first table and home
+  // 28 in the doubled one. Seven cached questions fill slots 12..15, 0..2
+  // (one short of the half-full growth point); the round's first miss
+  // takes slot 3 and its second doubles the table. Growth re-places slots
+  // in old-slot order, so the wrapped run 0..3 — the first miss included —
+  // lands at 28..31 ahead of the cached questions from 12..15, now at
+  // 0..3. Erasing that miss must shift those four back across the hole.
+  static_assert(CachingOracle::kInitialSlots == 16);
+  Rng rng(9);
+  std::vector<TupleSet> colliding;
+  while (colliding.size() < 9) {
+    TupleSet q = RandomQuestion(rng, 32, 1, 16);
+    if ((q.Hash() & 31) == 28) colliding.push_back(q);
+  }
+  std::vector<TupleSet> cached(colliding.begin(), colliding.begin() + 7);
+  std::vector<TupleSet> round(colliding.begin() + 7, colliding.end());
+
+  SpyOracle spy;
+  CachingOracle cache(&spy);
+  for (const TupleSet& q : cached) cache.IsAnswer(q);
+  ASSERT_EQ(cache.slot_count(), 16u);
+  spy.cancel = true;
+  EXPECT_THROW(AskRound(cache, round), Cancelled);
+  EXPECT_EQ(cache.slot_count(), 32u) << "the round did not double the table";
+  EXPECT_EQ(cache.size(), cached.size());
+  EXPECT_EQ(cache.misses(), 7);
+
+  spy.cancel = false;
+  for (const TupleSet& q : cached) {
+    EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+  }
+  EXPECT_EQ(cache.hits(), 7) << "a cached question became unreachable";
+  EXPECT_EQ(spy.asked.size(), 7u);
+  AskRound(cache, round);
+  EXPECT_EQ(spy.asked.size(), 9u);
+  EXPECT_EQ(spy.asked[7], round[0].tuples());
+  EXPECT_EQ(spy.asked[8], round[1].tuples());
+}
+
+TEST(CachingOracleTest, MatchesAReferenceModelThroughManyDoublings) {
+  // 20k questions at n = 32, ~30% of them repeats (reordered, so the
+  // canonical form must make them hit), some empty, asked one at a time
+  // and in rounds of up to 8; every 20th round that reaches the inner
+  // oracle is cancelled. The model is
+  // a std::map keyed by the canonical tuple list.
+  const int kN = 32;
+  const size_t kQuestions = 20000;
+  SpyOracle spy;
+  CachingOracle cache(&spy);
+  std::map<std::vector<Tuple>, bool> model;
+  std::vector<std::vector<Tuple>> model_asked;
+  int64_t model_hits = 0;
+  int64_t model_misses = 0;
+  Rng rng(2024);
+  std::vector<TupleSet> history;
+  size_t rounds = 0;
+  for (size_t asked = 0; asked < kQuestions; ++rounds) {
+    size_t width = rng.Chance(0.5) ? 1 : static_cast<size_t>(rng.Range(1, 8));
+    std::vector<TupleSet> round;
+    for (size_t i = 0; i < width; ++i) {
+      if (!history.empty() && rng.Chance(0.3)) {
+        std::vector<Tuple> tuples = rng.Pick(history).tuples();
+        rng.Shuffle(&tuples);
+        round.push_back(TupleSet(std::move(tuples)));
+      } else {
+        round.push_back(RandomQuestion(rng, kN, 0, 24));
+        history.push_back(round.back());
+      }
+    }
+    asked += width;
+    bool batch = width > 1 || rng.Chance(0.5);
+    bool forwards = std::any_of(round.begin(), round.end(),
+                                [&](const TupleSet& q) {
+                                  return !model.contains(q.tuples());
+                                });
+    if (rounds % 20 == 19 && forwards) {
+      spy.cancel = true;
+      if (batch) {
+        EXPECT_THROW(AskRound(cache, round), Cancelled);
+      } else {
+        EXPECT_THROW(cache.IsAnswer(round[0]), Cancelled);
+      }
+      spy.cancel = false;
+      continue;
+    }
+    std::vector<bool> expected;
+    for (const TupleSet& q : round) {
+      auto it = model.find(q.tuples());
+      if (it != model.end()) {
+        ++model_hits;
+      } else {
+        ++model_misses;
+        model_asked.push_back(q.tuples());
+        it = model.emplace(q.tuples(), SpyOracle::Rule(q)).first;
+      }
+      expected.push_back(it->second);
+    }
+    std::vector<bool> got =
+        batch ? AskRound(cache, round)
+              : std::vector<bool>{cache.IsAnswer(round[0])};
+    ASSERT_EQ(got, expected) << "round " << rounds;
+    ASSERT_EQ(cache.hits(), model_hits) << "round " << rounds;
+    ASSERT_EQ(cache.misses(), model_misses) << "round " << rounds;
+  }
+  EXPECT_EQ(spy.asked, model_asked);
+  EXPECT_EQ(cache.size(), model.size());
+  EXPECT_GT(model_hits, static_cast<int64_t>(kQuestions / 5));
+  EXPECT_GE(cache.slot_count(), 2 * model.size());
+  EXPECT_GE(cache.slot_count(), CachingOracle::kInitialSlots << 10)
+      << "vacuous: the table never grew through many doublings";
 }
 
 TEST(NoisyOracleTest, ZeroNoiseIsTransparent) {
