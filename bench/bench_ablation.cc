@@ -14,6 +14,7 @@
 #include "src/learn/qhorn1_learner.h"
 #include "src/learn/rp_learner.h"
 #include "src/oracle/oracle.h"
+#include "src/oracle/transcript.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
 
@@ -98,8 +99,10 @@ int main() {
 
       QueryOracle o2(target);
       CountingOracle c2(&o2);
-      CachingOracle cache(&c2);
-      LearnUniversalHorns(n, &cache);
+      QuestionLog log;
+      CachingOracle cache(&c2, &log);
+      TranscriptOracle transcript(&cache, &log);
+      LearnUniversalHorns(n, &transcript);
       cached_q.Add(static_cast<double>(c2.stats().questions));
       hits.Add(static_cast<double>(cache.hits()));
     }

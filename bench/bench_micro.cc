@@ -26,6 +26,10 @@
 #include <unordered_set>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "bench/bench_domain.h"
 #include "src/core/compiled_query.h"
 #include "src/durable/durable_router.h"
@@ -38,6 +42,7 @@
 #include "src/learn/rp_learner.h"
 #include "src/oracle/oracle.h"
 #include "src/oracle/pipeline.h"
+#include "src/oracle/transcript.h"
 #include "src/relation/chocolate.h"
 #include "src/session/router.h"
 #include "src/util/bit_span.h"
@@ -196,34 +201,47 @@ void BM_OracleBatchSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleBatchSequential)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 
+// A cache under the transcript whose log it indexes, as QuerySession
+// builds them.
+struct CachedStack {
+  explicit CachedStack(MembershipOracle* inner)
+      : cache(inner, &log), transcript(&cache, &log) {}
+
+  QuestionLog log;
+  CachingOracle cache;
+  TranscriptOracle transcript;
+};
+
 void BM_CachingOracleHit(benchmark::State& state) {
   int n = 64;
   Query q = BenchQuery(n);
   QueryOracle oracle(q);
-  CachingOracle caching(&oracle);
+  CachedStack stack(&oracle);
   Rng rng(3);
   TupleSet question = RandomObject(n, rng, 16);
-  caching.IsAnswer(question);  // prime the cache
+  stack.transcript.IsAnswer(question);  // prime the cache
+  // A hit only probes, so the timed calls go to the cache directly: through
+  // the transcript, every iteration would also grow its log.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(caching.IsAnswer(question));
+    benchmark::DoNotOptimize(stack.cache.IsAnswer(question));
   }
   state.SetLabel("repeat question; cached TupleSet hash, no rehash");
 }
 BENCHMARK(BM_CachingOracleHit);
 
-// The cache layer alone over one `learn_wide`-shaped session: a fresh
-// CachingOracle takes 2000 distinct 16-tuple questions at n = 32, every
-// one a miss, then is destroyed. The inner oracle answers from the
-// question's size, so the number is the cache's probe, insert, growth and
-// teardown cost. The questions are pre-hashed, as the learners' are by the
-// time the cache sees them twice.
-void BM_CachingOracleMissStream(benchmark::State& state) {
-  class SizeParityOracle : public MembershipOracle {
-   public:
-    bool IsAnswer(const TupleSet& question) override {
-      return question.size() % 2 == 1;
-    }
-  } inner;
+// Answers from the question's size alone, so the stack above it is what a
+// miss stream measures.
+class SizeParityOracle : public MembershipOracle {
+ public:
+  bool IsAnswer(const TupleSet& question) override {
+    return question.size() % 2 == 1;
+  }
+};
+
+// One `learn_wide`-shaped session's questions: 2000 distinct 16-tuple
+// questions at n = 32, pre-hashed, as the learners' are by the time the
+// cache sees them twice.
+std::vector<TupleSet> MissStreamQuestions() {
   const int n = 32;
   const size_t kQuestions = 2000;
   Rng rng(4);
@@ -234,17 +252,66 @@ void BM_CachingOracleMissStream(benchmark::State& state) {
     q.Hash();
     questions.push_back(std::move(q));
   }
+  return questions;
+}
+
+// The cache layer over one such session: a fresh transcript and cache take
+// the 2000 questions, every one a miss, then are destroyed. The number is
+// the cache's probe, insert, growth and teardown cost plus the transcript
+// staging each question into the log they share.
+void BM_CachingOracleMissStream(benchmark::State& state) {
+  SizeParityOracle inner;
+  const std::vector<TupleSet> questions = MissStreamQuestions();
   for (auto _ : state) {
-    CachingOracle caching(&inner);
+    CachedStack stack(&inner);
     for (const TupleSet& q : questions) {
-      benchmark::DoNotOptimize(caching.IsAnswer(q));
+      benchmark::DoNotOptimize(stack.transcript.IsAnswer(q));
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(kQuestions));
+                          static_cast<int64_t>(questions.size()));
   state.SetLabel("fresh cache, 2000 distinct 16-tuple misses at n=32");
 }
 BENCHMARK(BM_CachingOracleMissStream);
+
+// Heap bytes the allocator has handed out and not taken back.
+size_t HeapBytesInUse() {
+#if defined(__GLIBC__)
+  struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+// The same stream through a session's question stack, transcript over
+// cache, and what the stack keeps once the stream is asked: the
+// `retained_bytes` counter is the heap it holds (the log and the slot
+// table) just before it is destroyed, read on glibc (0 elsewhere). The
+// time covers the asking only; building, sampling and teardown are paused.
+void BM_SessionStackMissStream(benchmark::State& state) {
+  SizeParityOracle inner;
+  const std::vector<TupleSet> questions = MissStreamQuestions();
+  size_t retained = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const size_t before = HeapBytesInUse();
+    auto stack = std::make_unique<CachedStack>(&inner);
+    state.ResumeTiming();
+    for (const TupleSet& q : questions) {
+      benchmark::DoNotOptimize(stack->transcript.IsAnswer(q));
+    }
+    state.PauseTiming();
+    retained = HeapBytesInUse() - before;
+    stack.reset();
+    state.ResumeTiming();
+  }
+  state.counters["retained_bytes"] = static_cast<double>(retained);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(questions.size()));
+  state.SetLabel("transcript over cache, 2000 distinct 16-tuple misses");
+}
+BENCHMARK(BM_SessionStackMissStream);
 
 // The pre-worklist fixpoint re-scan, kept as the in-tree reference the
 // worklist closure is measured against (shared by both Legacy closures).

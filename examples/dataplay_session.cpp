@@ -58,7 +58,8 @@ int main() {
   // Session 1: the user mislabels question #5; learning goes wrong.
   QueryOracle truth(intended);
   DistractedUser distracted(&truth, /*wrong_at=*/5);
-  TranscriptOracle history(&distracted);
+  QuestionLog log;
+  TranscriptOracle history(&distracted, &log);
   RpLearnerResult wrong = LearnRolePreserving(3, &history);
   std::printf("learned with one wrong answer:  %s   (equivalent: %s)\n",
               wrong.query.ToString().c_str(),

@@ -35,7 +35,8 @@ int main() {
   // 3. The learner asks membership questions; the simulated user answers
   //    by looking at materialized boxes. Every exchange is recorded.
   DataDomainOracle user(intended, &binding);
-  TranscriptOracle history(&user);
+  QuestionLog log;
+  TranscriptOracle history(&user, &log);
   RpLearnerResult result = LearnRolePreserving(binding.n(), &history);
 
   std::printf("\nquestion/answer transcript (%zu questions):\n",

@@ -53,23 +53,25 @@ CachingOracle::Probed CachingOracle::Probe(const TupleSet& question,
     if (slot.state() == kEmpty ||
         (slot.hash == hash && slot.size() == question.size() &&
          std::equal(question.begin(), question.end(),
-                    pool_.begin() + slot.offset))) {
+                    log_->tuples.begin() + slot.offset))) {
       return {i, slot.state()};
     }
   }
 }
 
 size_t CachingOracle::Insert(const TupleSet& question, uint64_t hash,
-                             size_t slot, State state) {
-  QHORN_CHECK(question.size() <= (UINT32_MAX >> 2) &&
-              pool_.size() + question.size() <= UINT32_MAX);
+                             size_t offset, size_t slot, State state) {
+  // The transcript above appended the question's tuples to the log before
+  // forwarding it, so they are already there.
+  QHORN_DCHECK(std::equal(question.begin(), question.end(),
+                          log_->tuples.begin() + offset));
+  QHORN_CHECK(question.size() <= (UINT32_MAX >> 2) && offset <= UINT32_MAX);
   if (2 * (count_ + 1) > slots_.size()) {
     Grow();
     slot = Probe(question, hash).slot;  // absent: an empty slot
   }
-  slots_[slot] = Slot{hash, static_cast<uint32_t>(pool_.size()),
+  slots_[slot] = Slot{hash, static_cast<uint32_t>(offset),
                       static_cast<uint32_t>(question.size() << 2) | state};
-  pool_.insert(pool_.end(), question.begin(), question.end());
   ++count_;
   return slot;
 }
@@ -113,9 +115,11 @@ bool CachingOracle::IsAnswer(const TupleSet& question) {
   // A cancelled parked round (pending backend) unwinds by throwing here;
   // nothing has been inserted or counted yet, so the unanswered question
   // leaves the cache untouched.
+  QHORN_CHECK(question.size() <= log_->tuples.size());
+  const size_t offset = log_->tuples.size() - question.size();
   bool answer = inner_->IsAnswer(question);
   ++misses_;
-  Insert(question, hash, probed.slot, answer ? kYes : kNo);
+  Insert(question, hash, offset, probed.slot, answer ? kYes : kNo);
   return answer;
 }
 
@@ -130,7 +134,11 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   // and patched or read after the inner round answers the misses. An insert
   // that doubles the table moves the slots, so such a round re-probes them
   // once. (An empty round falls through every loop: no probes, no forward.)
-  const size_t round_pool = pool_.size();
+  // The round is the log's tail, so question i starts `offset` tuples in.
+  size_t round_tuples = 0;
+  for (const TupleSet& q : questions) round_tuples += q.size();
+  QHORN_CHECK(round_tuples <= log_->tuples.size());
+  size_t offset = log_->tuples.size() - round_tuples;
   const size_t round_slots = slots_.size();
   miss_indices_.clear();
   slot_of_.clear();
@@ -144,11 +152,12 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
         contiguous = false;
       }
       miss_indices_.push_back(i);
-      slot = Insert(questions[i], hash, slot, kPending);
+      slot = Insert(questions[i], hash, offset, slot, kPending);
     } else {
       ++hits_;
     }
     slot_of_.push_back(slot);
+    offset += questions[i].size();
   }
   if (!miss_indices_.empty()) {
     BitSpan miss_bits = miss_answers_.Prepare(miss_indices_.size());
@@ -173,15 +182,15 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
       }
     } catch (...) {
       // Cancelled parked round (pending backend): erase this round's
-      // placeholders newest first, truncate the pool to its pre-round
-      // length and roll the counters back, so the cache holds exactly the
-      // pre-round questions. Each placeholder is found by content: an
-      // earlier erase or a doubling may have moved it.
+      // placeholders newest first and roll the counters back, so the cache
+      // holds exactly the pre-round questions. Each placeholder is found by
+      // content: an earlier erase or a doubling may have moved it. The log
+      // still holds the round (the transcript above truncates it only
+      // after this rethrow), so the probes can compare against it.
       for (size_t k = miss_indices_.size(); k-- > 0;) {
         const TupleSet& q = questions[miss_indices_[k]];
         Erase(Probe(q, q.Hash()).slot);
       }
-      pool_.resize(round_pool);
       misses_ -= static_cast<int64_t>(miss_indices_.size());
       hits_ -=
           static_cast<int64_t>(questions.size() - miss_indices_.size());

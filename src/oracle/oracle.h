@@ -139,21 +139,49 @@ class CountingOracle : public MembershipOracle {
   OracleStats stats_;
 };
 
+/// Every question a session asked, each stored once: the tuples of all
+/// asked questions back to back, in the order they were asked, plus one
+/// 16-byte record per answered question. TranscriptOracle writes it (see
+/// transcript.h): it appends a round's questions to `tuples` before it
+/// forwards the round, adds their records once the round is answered, and
+/// truncates `tuples` again if a throw cancels the round. A CachingOracle
+/// below that transcript reads it and keeps no tuples of its own.
+struct QuestionLog {
+  struct Entry {
+    uint32_t offset = 0;    // first tuple in `tuples`
+    uint32_t size : 31 = 0;  // tuple count
+    uint32_t response : 1 = 0;
+    int64_t round = 0;  // oracle round the question was answered in
+  };
+  static_assert(sizeof(Entry) == 16);
+
+  std::vector<Tuple> tuples;   // every asked question, the current round's too
+  std::vector<Entry> entries;  // answered questions only, in order
+};
+
 /// Decorator that memoizes responses, so repeated identical questions cost
 /// nothing. The role-preserving universal-body search re-examines lattice
 /// roots as new bodies are found; the paper's counting convention charges a
 /// question once, which this decorator implements.
 ///
-/// The store is one flat open-addressed table: a power-of-two slot array
-/// with linear probing at most half full, indexing one pool that holds
-/// every cached question's tuples back to back. A slot is 16 bytes — the
-/// question's full TupleSet::Hash(), its pool offset and size, and its
-/// state — so a probe compares hashes first and touches the pool only on
-/// a hash-and-size match, and growth re-places slots from their stored
-/// hashes without reading the pool. A miss copies the question's tuples
-/// once, onto the end of the pool; there is no per-entry allocation. The
-/// first table has kInitialSlots slots, so a short session pays for a few
-/// hundred bytes, not for the ~2000 questions of a wide one.
+/// The cache sits below a TranscriptOracle and shares its QuestionLog: it
+/// stores no question itself. Every stage between the two forwards a
+/// contiguous tail of the transcript's round (ReplayOracle forwards what
+/// it cannot serve, the others forward everything; a SequentialOracle,
+/// which splits a round, belongs above the transcript), so the cache's
+/// questions are always the last ones appended to the log's tuples, and a
+/// miss is remembered by its offset there. The store is one flat
+/// open-addressed table: a power-of-two slot array with linear probing at
+/// most half full. A slot is 16 bytes — the question's full
+/// TupleSet::Hash(), its offset and size in the log, and its state — so a
+/// probe compares hashes first and touches the log only on a hash-and-size
+/// match, and growth re-places slots from their stored hashes without
+/// reading the log. A miss costs one probe and one slot; nothing is copied
+/// or allocated per question. The first table has kInitialSlots slots, so a
+/// short session pays for a few hundred bytes, not for the ~2000 questions
+/// of a wide one. A correction that truncates the log (TranscriptOracle::
+/// Correct) discards questions the table may index, so the cache must be
+/// discarded with them; QuerySession rebuilds both.
 ///
 /// A batch forwards only its unique misses to the wrapped oracle —
 /// duplicates within a round and questions answered in earlier rounds are
@@ -163,8 +191,8 @@ class CountingOracle : public MembershipOracle {
 /// own span — an index-based view, no TupleSet is copied however wide the
 /// round; only rounds with hits *interleaved between* misses fall back to
 /// gathering the misses into a scratch vector. A round the wrapped oracle
-/// cancels by throwing leaves the table, the pool and the counters as they
-/// were before it.
+/// cancels by throwing leaves the table and the counters as they were
+/// before it.
 class CachingOracle : public MembershipOracle {
  public:
   /// Slots in the first table, allocated by the first insert (so opening
@@ -173,7 +201,10 @@ class CachingOracle : public MembershipOracle {
   /// kInitialSlots / 2 questions.
   static constexpr size_t kInitialSlots = 16;
 
-  explicit CachingOracle(MembershipOracle* inner) : inner_(inner) {}
+  /// `log` is the QuestionLog of the TranscriptOracle above this cache; it
+  /// must outlive the cache.
+  CachingOracle(MembershipOracle* inner, const QuestionLog* log)
+      : inner_(inner), log_(log) {}
 
   bool IsAnswer(const TupleSet& question) override;
   void IsAnswerBatch(std::span<const TupleSet> questions,
@@ -193,7 +224,7 @@ class CachingOracle : public MembershipOracle {
 
   struct Slot {
     uint64_t hash = 0;        // the question's TupleSet::Hash()
-    uint32_t offset = 0;      // first tuple in pool_
+    uint32_t offset = 0;      // first tuple in log_->tuples
     uint32_t size_state = 0;  // tuple count << 2 | State
 
     State state() const { return static_cast<State>(size_state & 3); }
@@ -209,18 +240,19 @@ class CachingOracle : public MembershipOracle {
   };
   Probed Probe(const TupleSet& question, uint64_t hash) const;
   // Fills the empty slot `slot` (found by Probe for this question) with
-  // `question` in `state`, doubling the table first if it would pass half
-  // full; returns the slot the question landed in.
-  size_t Insert(const TupleSet& question, uint64_t hash, size_t slot,
-                State state);
+  // `question`, whose copy in the log starts at `offset`, in `state`,
+  // doubling the table first if it would pass half full; returns the slot
+  // the question landed in.
+  size_t Insert(const TupleSet& question, uint64_t hash, size_t offset,
+                size_t slot, State state);
   void Grow();
   // Backward-shift deletion: empties `slot` and moves later members of
   // its cluster back so every remaining question stays reachable.
   void Erase(size_t slot);
 
   MembershipOracle* inner_;
+  const QuestionLog* log_;
   std::vector<Slot> slots_;  // empty, or power-of-two size at most half full
-  std::vector<Tuple> pool_;  // every cached question's tuples, in order
   size_t count_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;

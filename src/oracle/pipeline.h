@@ -8,11 +8,15 @@
 // decorator it owns. The user-facing entry point is top(); the stage
 // nearest the backend was pushed first.
 //
+//   QuestionLog log;                     // outlives the pipeline
 //   OraclePipeline p(&backend);          // transcript → cache → counting
 //   auto* counting = p.Push<CountingOracle>();
-//   auto* cache = p.Push<CachingOracle>();
-//   auto* transcript = p.Push<TranscriptOracle>();
+//   auto* cache = p.Push<CachingOracle>(&log);
+//   auto* transcript = p.Push<TranscriptOracle>(&log);
 //   learner.Learn(p.top());
+//
+// The transcript and the cache share one QuestionLog, each asked question
+// stored once: the transcript writes it and the cache indexes it.
 //
 // The Backend/Stage concepts make the two roles explicit: a Backend is any
 // MembershipOracle (it terminates the chain); a Stage is a MembershipOracle

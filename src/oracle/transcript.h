@@ -12,6 +12,15 @@
 // its questions in order, and each transcript entry remembers which round
 // it arrived in, so a UI can render "round 7 asked these 12 questions
 // together" while correction indices keep addressing single questions.
+//
+// The history is one flat QuestionLog (oracle.h): every asked question's
+// tuples back to back, and a 16-byte record (offset, size, response,
+// round) per answered question. The transcript appends a round's
+// questions to the log *before* it forwards the round, which is what lets
+// a CachingOracle below it share the log instead of copying each question
+// a second time; a round cancelled by a throw is truncated off again. The
+// log is the only copy of the questions a session keeps, so entries()
+// builds TranscriptEntry values from it on demand.
 
 #ifndef QHORN_ORACLE_TRANSCRIPT_H_
 #define QHORN_ORACLE_TRANSCRIPT_H_
@@ -33,30 +42,41 @@ struct TranscriptEntry {
   int64_t round = 0;
 };
 
-/// Decorator that records the full exchange history.
+/// Decorator that records the full exchange history into a QuestionLog.
 class TranscriptOracle : public MembershipOracle {
  public:
-  explicit TranscriptOracle(MembershipOracle* inner) : inner_(inner) {}
+  /// `log` must be empty and outlive the transcript; a CachingOracle below
+  /// the transcript is built over the same log.
+  TranscriptOracle(MembershipOracle* inner, QuestionLog* log)
+      : inner_(inner), log_(log) {}
 
   bool IsAnswer(const TupleSet& question) override;
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
-  const std::vector<TranscriptEntry>& entries() const { return entries_; }
+  /// The recorded exchanges, in order, built from the log: O(total tuples)
+  /// per call.
+  std::vector<TranscriptEntry> entries() const;
 
   /// Oracle rounds recorded so far (single questions and batches alike).
   int64_t rounds() const { return rounds_; }
 
   /// Flips the recorded response at `index` (0-based). Later entries are
-  /// discarded: they were computed from the bad answer and must be re-asked.
+  /// discarded: they were computed from the bad answer and must be
+  /// re-asked. The next round's id follows the round of entry `index`. A
+  /// CachingOracle over the same log may index the discarded questions and
+  /// must be discarded with them.
   void Correct(size_t index);
 
   /// Renders the history, e.g. for the examples' console output.
   std::string ToString(int n) const;
 
  private:
+  // Appends `question` to the log's tuples and returns where it starts.
+  size_t Stage(const TupleSet& question);
+
   MembershipOracle* inner_;
-  std::vector<TranscriptEntry> entries_;
+  QuestionLog* log_;
   int64_t rounds_ = 0;
 };
 

@@ -21,16 +21,18 @@ void QuerySession::BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
   // cumulative across restart attempts.
   if (user_replay_ != nullptr) user_replayed_total_ += user_replay_->replayed();
   user_replay_ = nullptr;
+  log_ = QuestionLog();
   OraclePipeline pipeline(user_);
   if (!user_prefix.empty()) {
     user_replay_ = pipeline.Push<ReplayOracle>(std::move(user_prefix));
   }
   counting_ = pipeline.Push<CountingOracle>();
-  cache_ = options_.cache_questions ? pipeline.Push<CachingOracle>() : nullptr;
+  cache_ = options_.cache_questions ? pipeline.Push<CachingOracle>(&log_)
+                                    : nullptr;
   if (!replay_prefix.empty()) {
     pipeline.Push<ReplayOracle>(std::move(replay_prefix));
   }
-  transcript_ = pipeline.Push<TranscriptOracle>();
+  transcript_ = pipeline.Push<TranscriptOracle>(&log_);
   pipeline_ = std::move(pipeline);
   top_ = pipeline_.top();
 }

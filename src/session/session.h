@@ -36,6 +36,10 @@ class QuerySession {
   QuerySession(int n, MembershipOracle* user);
   QuerySession(int n, MembershipOracle* user, Options options);
 
+  // The pipeline's stages point at log_.
+  QuerySession(const QuerySession&) = delete;
+  QuerySession& operator=(const QuerySession&) = delete;
+
   int n() const { return n_; }
 
   /// Learns the user's query from membership questions (§3.2). The result
@@ -52,8 +56,9 @@ class QuerySession {
   /// The session's current query, if any phase has produced one.
   const std::optional<Query>& current_query() const { return current_; }
 
-  /// Full question/answer history (in the order the user saw them).
-  const std::vector<TranscriptEntry>& history() const {
+  /// Full question/answer history (in the order the user saw them), built
+  /// from the session's question log: O(total tuples) per call.
+  std::vector<TranscriptEntry> history() const {
     return transcript_->entries();
   }
 
@@ -119,11 +124,12 @@ class QuerySession {
  private:
   /// (Re)builds the middleware chain over the user backend, outermost
   /// first: transcript → [replay] → cache → counting → [user replay] →
-  /// user. A non-empty `replay_prefix` inserts a ReplayOracle between the
-  /// cache and the transcript for the §5 correction workflow (served
-  /// questions are not re-counted); a non-empty `user_prefix` inserts one
-  /// directly above the user for continuation re-entry (served questions
-  /// pass through every decorator, exactly as when first asked).
+  /// user, with the transcript and the cache sharing a fresh log_. A
+  /// non-empty `replay_prefix` inserts a ReplayOracle between the cache
+  /// and the transcript for the §5 correction workflow (served questions
+  /// are not re-counted); a non-empty `user_prefix` inserts one directly
+  /// above the user for continuation re-entry (served questions pass
+  /// through every decorator, exactly as when first asked).
   void BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
                      std::vector<TranscriptEntry> user_prefix);
 
@@ -131,6 +137,9 @@ class QuerySession {
   MembershipOracle* user_;
   Options options_;
   bool continuation_mode_ = false;  // ResetWithUserReplay has been used
+  // Every question the transcript recorded, stored once; the cache indexes
+  // it too.
+  QuestionLog log_;
   // Owning middleware chain; the typed pointers below alias its stages.
   OraclePipeline pipeline_;
   CountingOracle* counting_ = nullptr;

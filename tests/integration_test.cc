@@ -68,8 +68,10 @@ TEST(CachingTransparencyTest, SameResultFewerUserQuestions) {
 
   QueryOracle user2(target);
   CountingOracle counted(&user2);
-  CachingOracle cache(&counted);
-  Query with_cache = LearnRolePreserving(6, &cache).query;
+  QuestionLog log;
+  CachingOracle cache(&counted, &log);
+  TranscriptOracle transcript(&cache, &log);
+  Query with_cache = LearnRolePreserving(6, &transcript).query;
 
   EXPECT_TRUE(Equivalent(without_cache, with_cache));
   EXPECT_LE(counted.stats().questions, raw.stats().questions);
@@ -82,7 +84,8 @@ TEST(DataPlayPipelineTest, ChocolateEndToEnd) {
   Query intended = IntroChocolateQuery();
   BooleanBinding binding(ChocolateSchema(), ChocolatePropositions());
   DataDomainOracle data_user(intended, &binding);
-  TranscriptOracle history(&data_user);
+  QuestionLog log;
+  TranscriptOracle history(&data_user, &log);
 
   RpLearnerResult learned = LearnRolePreserving(3, &history);
   EXPECT_TRUE(Equivalent(learned.query, intended))

@@ -5,7 +5,11 @@
 // verifier / probe-stream twice against the identical oracle stack
 // (transcript → cache → counting → base): once with batches flowing
 // through every override, once with a SequentialOracle adapter decomposing
-// each batch into single questions below the transcript. Everything
+// each batch into single questions above the transcript, so every layer
+// runs its single-question path. (It cannot sit between the transcript
+// and the cache: the cache finds its questions at the tail of the
+// transcript's log, so every stage between them must forward a contiguous
+// tail of the round.) Everything
 // observable must be bit-identical — the learned query, every
 // (question, response) transcript pair in order, the question/tuple/answer
 // statistics at the user boundary, and the cache's hit/miss tallies — for
@@ -51,13 +55,14 @@ RunRecord RunStack(const BaseFactory& make_base, const Workload& drive,
                    bool force_sequential) {
   std::unique_ptr<MembershipOracle> base = make_base();
   CountingOracle counting(base.get());
-  CachingOracle caching(&counting);
-  SequentialOracle sequential(&caching);
-  TranscriptOracle transcript(force_sequential
-                                  ? static_cast<MembershipOracle*>(&sequential)
-                                  : &caching);
+  QuestionLog log;
+  CachingOracle caching(&counting, &log);
+  TranscriptOracle transcript(&caching, &log);
+  SequentialOracle sequential(&transcript);
   RunRecord record;
-  record.payload = drive(&transcript);
+  record.payload =
+      drive(force_sequential ? static_cast<MembershipOracle*>(&sequential)
+                             : &transcript);
   for (const TranscriptEntry& e : transcript.entries()) {
     record.transcript.emplace_back(e.question, e.response);
   }
@@ -424,11 +429,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 RunRecord RunPipelineStack(MembershipOracle* backend, const Workload& drive,
                            bool force_sequential) {
+  QuestionLog log;
   OraclePipeline pipeline(backend);
   CountingOracle* counting = pipeline.Push<CountingOracle>();
-  CachingOracle* caching = pipeline.Push<CachingOracle>();
+  CachingOracle* caching = pipeline.Push<CachingOracle>(&log);
+  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>(&log);
   if (force_sequential) pipeline.Push<SequentialOracle>();
-  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>();
   RunRecord record;
   record.payload = drive(pipeline.top());
   for (const TranscriptEntry& e : transcript->entries()) {
@@ -560,7 +566,8 @@ TEST(ReplayBatchTest, BatchSpanningPrefixBoundaryMatchesSequential) {
   QueryOracle truth(target);
 
   // Record a transcript of five questions.
-  TranscriptOracle recorder(&truth);
+  QuestionLog log;
+  TranscriptOracle recorder(&truth, &log);
   Rng rng(5);
   std::vector<TupleSet> asked;
   for (int i = 0; i < 5; ++i) {
@@ -609,11 +616,12 @@ TEST(ReplayBatchTest, BatchSpanningPrefixBoundaryMatchesSequential) {
 TEST(EmptyRoundTest, EmptyBatchIsANoOpThroughTheWholeStack) {
   Query target = Query::Parse("∀x1→x2 ∃x3", 3);
   QueryOracle truth(target);
+  QuestionLog log;
   OraclePipeline pipeline(&truth);
   NoisyOracle* noisy = pipeline.Push<NoisyOracle>(0.5, /*seed=*/7);
   CountingOracle* counting = pipeline.Push<CountingOracle>();
-  CachingOracle* caching = pipeline.Push<CachingOracle>();
-  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>();
+  CachingOracle* caching = pipeline.Push<CachingOracle>(&log);
+  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>(&log);
 
   BitVec bits;
   pipeline.top()->IsAnswerBatch({}, bits.Prepare(0));
@@ -653,7 +661,8 @@ TEST(EmptyRoundTest, AdversaryAndReplayIgnoreEmptyRounds) {
       << "no questions were asked, so the version space is untouched";
 
   QueryOracle truth(Query::Parse("∀x1→x2", 2));
-  TranscriptOracle recorder(&truth);
+  QuestionLog log;
+  TranscriptOracle recorder(&truth, &log);
   Rng rng(5);
   TupleSet asked = RandomObject(2, rng, 2);
   recorder.IsAnswer(asked);
@@ -670,7 +679,8 @@ TEST(EmptyRoundTest, AdversaryAndReplayIgnoreEmptyRounds) {
 // CachingOracle forwarding: when a round's misses form one contiguous run,
 // the inner oracle must receive a *view into the caller's span* — the
 // copy-free regression pin for wide cached rounds. An inner probe records
-// the span's data pointer to prove no TupleSet was gathered.
+// the span's data pointer to prove no TupleSet was gathered. The cache is
+// asked through its transcript, which forwards the caller's span as is.
 
 class SpanSpyOracle : public MembershipOracle {
  public:
@@ -699,7 +709,9 @@ class SpanSpyOracle : public MembershipOracle {
 TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
   Query target = Query::Parse("∀x1x2→x3 ∃x4", 8);
   SpanSpyOracle spy(target);
-  CachingOracle caching(&spy);
+  QuestionLog log;
+  CachingOracle caching(&spy, &log);
+  TranscriptOracle transcript(&caching, &log);
   // Provably distinct questions: each holds the single tuple whose packed
   // value is its index (n = 8 leaves room for 256 of them).
   auto distinct = [](uint64_t from, uint64_t count) {
@@ -715,7 +727,7 @@ TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
 
   // All-miss wide round: the inner span must alias the caller's storage.
   BitVec bits;
-  caching.IsAnswerBatch(fresh, bits.Prepare(fresh.size()));
+  transcript.IsAnswerBatch(fresh, bits.Prepare(fresh.size()));
   EXPECT_EQ(spy.last_data(), fresh.data())
       << "an all-fresh round must forward questions.subspan(...), not a copy";
   EXPECT_EQ(spy.last_size(), fresh.size());
@@ -727,7 +739,7 @@ TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
   edged.push_back(fresh.front());  // hit
   for (TupleSet& q : distinct(64, 8)) edged.push_back(std::move(q));
   edged.push_back(fresh.back());  // hit
-  caching.IsAnswerBatch(edged, bits.Prepare(edged.size()));
+  transcript.IsAnswerBatch(edged, bits.Prepare(edged.size()));
   EXPECT_EQ(spy.last_data(), edged.data() + 1);
   EXPECT_EQ(spy.last_size(), 8u);
   EXPECT_EQ(caching.hits(), 2);
@@ -738,7 +750,7 @@ TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
   mixed.push_back(distinct(80, 1)[0]);
   mixed.push_back(fresh[3]);  // hit in the middle
   mixed.push_back(distinct(81, 1)[0]);
-  caching.IsAnswerBatch(mixed, bits.Prepare(mixed.size()));
+  transcript.IsAnswerBatch(mixed, bits.Prepare(mixed.size()));
   EXPECT_NE(spy.last_data(), mixed.data());
   EXPECT_EQ(spy.last_size(), 2u);
   QueryOracle reference(target);

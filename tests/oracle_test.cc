@@ -8,14 +8,38 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <span>
+#include <tuple>
 #include <vector>
 
+#include "src/oracle/transcript.h"
 #include "src/util/bit_span.h"
 #include "src/util/rng.h"
 
 namespace qhorn {
 namespace {
+
+// A CachingOracle under the TranscriptOracle whose log it indexes, the way
+// QuerySession builds them. Questions are asked through `transcript`. A
+// non-empty `prefix` puts a ReplayOracle serving it between the two, as a
+// correction's relearn does.
+struct CachedStack {
+  explicit CachedStack(MembershipOracle* inner,
+                       std::vector<TranscriptEntry> prefix = {})
+      : cache(inner, &log),
+        replay(prefix.empty() ? nullptr
+                              : std::make_unique<ReplayOracle>(
+                                    std::move(prefix), &cache)),
+        transcript(replay ? static_cast<MembershipOracle*>(replay.get())
+                          : &cache,
+                   &log) {}
+
+  QuestionLog log;
+  CachingOracle cache;
+  std::unique_ptr<ReplayOracle> replay;
+  TranscriptOracle transcript;
+};
 
 TEST(QueryOracleTest, AnswersForTheIntendedQuery) {
   QueryOracle oracle(Query::Parse("∀x1 ∃x2", 2));
@@ -50,24 +74,24 @@ TEST(CountingOracleTest, TracksQuestionAndTupleCounts) {
 TEST(CachingOracleTest, RepeatedQuestionsHitTheCache) {
   QueryOracle inner(Query::Parse("∃x1", 2));
   CountingOracle counting(&inner);
-  CachingOracle caching(&counting);
+  CachedStack stack(&counting);
   TupleSet q1 = TupleSet::Parse({"10"});
   TupleSet q2 = TupleSet::Parse({"01"});
-  EXPECT_TRUE(caching.IsAnswer(q1));
-  EXPECT_TRUE(caching.IsAnswer(q1));
-  EXPECT_FALSE(caching.IsAnswer(q2));
-  EXPECT_FALSE(caching.IsAnswer(q2));
-  EXPECT_EQ(caching.hits(), 2);
-  EXPECT_EQ(caching.misses(), 2);
+  EXPECT_TRUE(stack.transcript.IsAnswer(q1));
+  EXPECT_TRUE(stack.transcript.IsAnswer(q1));
+  EXPECT_FALSE(stack.transcript.IsAnswer(q2));
+  EXPECT_FALSE(stack.transcript.IsAnswer(q2));
+  EXPECT_EQ(stack.cache.hits(), 2);
+  EXPECT_EQ(stack.cache.misses(), 2);
   EXPECT_EQ(counting.stats().questions, 2);  // inner asked only twice
 }
 
 TEST(CachingOracleTest, CanonicalFormMakesPermutationsHit) {
   QueryOracle inner(Query::Parse("∃x1", 2));
-  CachingOracle caching(&inner);
-  caching.IsAnswer(TupleSet::Parse({"10", "01"}));
-  caching.IsAnswer(TupleSet::Parse({"01", "10"}));  // same object
-  EXPECT_EQ(caching.hits(), 1);
+  CachedStack stack(&inner);
+  stack.transcript.IsAnswer(TupleSet::Parse({"10", "01"}));
+  stack.transcript.IsAnswer(TupleSet::Parse({"01", "10"}));  // same object
+  EXPECT_EQ(stack.cache.hits(), 1);
 }
 
 // What a cancelled parked round throws in these tests.
@@ -130,35 +154,37 @@ std::vector<bool> AskRound(MembershipOracle& oracle,
 
 TEST(CachingOracleRollbackTest, CancelledQuestionIsForwardedAgain) {
   SpyOracle spy;
-  CachingOracle cache(&spy);
+  CachedStack stack(&spy);
+  CachingOracle& cache = stack.cache;
   TupleSet earlier = TupleSet::Parse({"1100", "0011"});
   TupleSet q = TupleSet::Parse({"1010", "0101", "1111"});
   EXPECT_EQ(cache.slot_count(), 0u) << "the table is allocated by an insert";
-  cache.IsAnswer(earlier);
+  stack.transcript.IsAnswer(earlier);
   spy.cancel = true;
-  EXPECT_THROW(cache.IsAnswer(q), Cancelled);
+  EXPECT_THROW(stack.transcript.IsAnswer(q), Cancelled);
   EXPECT_EQ(cache.misses(), 1);
   EXPECT_EQ(cache.hits(), 0);
   EXPECT_EQ(cache.size(), 1u);
   spy.cancel = false;
-  EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+  EXPECT_EQ(stack.transcript.IsAnswer(q), SpyOracle::Rule(q));
   ASSERT_EQ(spy.asked.size(), 2u) << "the cancelled question was not re-asked";
   EXPECT_EQ(spy.asked.back(), q.tuples());
   EXPECT_EQ(cache.misses(), 2);
-  EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+  EXPECT_EQ(stack.transcript.IsAnswer(q), SpyOracle::Rule(q));
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(spy.asked.size(), 2u);
 }
 
 TEST(CachingOracleRollbackTest, CancelledRoundRestoresHitsMissesAndEntries) {
   SpyOracle spy;
-  CachingOracle cache(&spy);
+  CachedStack stack(&spy);
+  CachingOracle& cache = stack.cache;
   Rng rng(5);
   std::vector<TupleSet> cached;
   for (int i = 0; i < 5; ++i) {
     cached.push_back(RandomQuestion(rng, 32, 1, 16));
   }
-  for (const TupleSet& q : cached) cache.IsAnswer(q);
+  for (const TupleSet& q : cached) stack.transcript.IsAnswer(q);
   TupleSet m1 = RandomQuestion(rng, 32, 1, 16);
   TupleSet m2 = RandomQuestion(rng, 32, 1, 16);
   TupleSet m3 = RandomQuestion(rng, 32, 1, 16);
@@ -169,7 +195,7 @@ TEST(CachingOracleRollbackTest, CancelledRoundRestoresHitsMissesAndEntries) {
   const size_t forwarded = spy.asked.size();
 
   spy.cancel = true;
-  EXPECT_THROW(AskRound(cache, round), Cancelled);
+  EXPECT_THROW(AskRound(stack.transcript, round), Cancelled);
   EXPECT_EQ(cache.hits(), hits);
   EXPECT_EQ(cache.misses(), misses);
   EXPECT_EQ(cache.size(), cached.size());
@@ -178,12 +204,12 @@ TEST(CachingOracleRollbackTest, CancelledRoundRestoresHitsMissesAndEntries) {
 
   spy.cancel = false;
   for (const TupleSet& q : cached) {
-    EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+    EXPECT_EQ(stack.transcript.IsAnswer(q), SpyOracle::Rule(q));
   }
   EXPECT_EQ(cache.hits(), hits + static_cast<int64_t>(cached.size()));
   EXPECT_EQ(spy.asked.size(), forwarded) << "a pre-round question missed";
 
-  std::vector<bool> answers = AskRound(cache, round);
+  std::vector<bool> answers = AskRound(stack.transcript, round);
   for (size_t i = 0; i < round.size(); ++i) {
     EXPECT_EQ(answers[i], SpyOracle::Rule(round[i])) << "question " << i;
   }
@@ -214,25 +240,148 @@ TEST(CachingOracleRollbackTest, RollbackMovesDisplacedSlotsBack) {
   std::vector<TupleSet> round(colliding.begin() + 7, colliding.end());
 
   SpyOracle spy;
-  CachingOracle cache(&spy);
-  for (const TupleSet& q : cached) cache.IsAnswer(q);
+  CachedStack stack(&spy);
+  CachingOracle& cache = stack.cache;
+  for (const TupleSet& q : cached) stack.transcript.IsAnswer(q);
   ASSERT_EQ(cache.slot_count(), 16u);
   spy.cancel = true;
-  EXPECT_THROW(AskRound(cache, round), Cancelled);
+  EXPECT_THROW(AskRound(stack.transcript, round), Cancelled);
   EXPECT_EQ(cache.slot_count(), 32u) << "the round did not double the table";
   EXPECT_EQ(cache.size(), cached.size());
   EXPECT_EQ(cache.misses(), 7);
 
   spy.cancel = false;
   for (const TupleSet& q : cached) {
-    EXPECT_EQ(cache.IsAnswer(q), SpyOracle::Rule(q));
+    EXPECT_EQ(stack.transcript.IsAnswer(q), SpyOracle::Rule(q));
   }
   EXPECT_EQ(cache.hits(), 7) << "a cached question became unreachable";
   EXPECT_EQ(spy.asked.size(), 7u);
-  AskRound(cache, round);
+  AskRound(stack.transcript, round);
   EXPECT_EQ(spy.asked.size(), 9u);
   EXPECT_EQ(spy.asked[7], round[0].tuples());
   EXPECT_EQ(spy.asked[8], round[1].tuples());
+}
+
+// Everything a round cancelled below `stack` must leave as it was.
+struct Observed {
+  size_t log_tuples = 0;
+  size_t log_entries = 0;
+  std::vector<std::tuple<std::vector<Tuple>, bool, int64_t>> entries;
+  int64_t rounds = 0;
+  size_t cached = 0;
+  int64_t hits = 0;
+  int64_t misses = 0;
+  bool operator==(const Observed&) const = default;
+};
+
+Observed Observe(const CachedStack& stack) {
+  Observed o{stack.log.tuples.size(), stack.log.entries.size(), {},
+             stack.transcript.rounds(), stack.cache.size(),
+             stack.cache.hits(), stack.cache.misses()};
+  for (const TranscriptEntry& e : stack.transcript.entries()) {
+    o.entries.emplace_back(e.question.tuples(), e.response, e.round);
+  }
+  return o;
+}
+
+// A round cancelled below the cache (the spy throws) must leave the log,
+// the transcript and the cache exactly as they were, in each shape a round
+// can take through the shared log (transcript → [replay] → cache →
+// counting → spy); a cancelled question is then forwarded again when
+// re-asked, and found once answered.
+TEST(CachingOracleRollbackTest, CancelledRoundLeavesTheSharedLogAsItWas) {
+  Rng rng(17);
+  auto fresh = [&rng] { return RandomQuestion(rng, 32, 1, 16); };
+  auto expect_reasked = [](CachedStack& stack, const SpyOracle& spy,
+                           const TupleSet& q) {
+    const size_t forwarded = spy.asked.size();
+    EXPECT_EQ(stack.transcript.IsAnswer(q), SpyOracle::Rule(q));
+    ASSERT_EQ(spy.asked.size(), forwarded + 1)
+        << "the cancelled question was not forwarded again";
+    EXPECT_EQ(spy.asked.back(), q.tuples());
+    const int64_t hits = stack.cache.hits();
+    EXPECT_EQ(stack.transcript.IsAnswer(q), SpyOracle::Rule(q));
+    EXPECT_EQ(stack.cache.hits(), hits + 1) << "the re-asked question missed";
+  };
+
+  {
+    SCOPED_TRACE("single question");
+    SpyOracle spy;
+    CountingOracle counting(&spy);
+    CachedStack stack(&counting);
+    std::vector<TupleSet> earlier = {fresh(), fresh()};
+    for (const TupleSet& q : earlier) stack.transcript.IsAnswer(q);
+    AskRound(stack.transcript, {fresh(), earlier[0]});
+    const Observed before = Observe(stack);
+    TupleSet q = fresh();
+    spy.cancel = true;
+    EXPECT_THROW(stack.transcript.IsAnswer(q), Cancelled);
+    EXPECT_EQ(Observe(stack), before);
+    spy.cancel = false;
+    expect_reasked(stack, spy, q);
+  }
+  {
+    SCOPED_TRACE("batch");
+    SpyOracle spy;
+    CountingOracle counting(&spy);
+    CachedStack stack(&counting);
+    std::vector<TupleSet> earlier = {fresh(), fresh(), fresh()};
+    AskRound(stack.transcript, earlier);
+    const Observed before = Observe(stack);
+    TupleSet m1 = fresh();
+    TupleSet m2 = fresh();
+    spy.cancel = true;
+    EXPECT_THROW(AskRound(stack.transcript, {m1, earlier[1], m2, m1}),
+                 Cancelled);
+    EXPECT_EQ(Observe(stack), before);
+    spy.cancel = false;
+    expect_reasked(stack, spy, m2);
+    expect_reasked(stack, spy, m1);
+  }
+  {
+    SCOPED_TRACE("batch whose inserts double the table");
+    SpyOracle spy;
+    CountingOracle counting(&spy);
+    CachedStack stack(&counting);
+    for (size_t i = 0; i + 1 < CachingOracle::kInitialSlots / 2; ++i) {
+      stack.transcript.IsAnswer(fresh());
+    }
+    ASSERT_EQ(stack.cache.slot_count(), CachingOracle::kInitialSlots);
+    const Observed before = Observe(stack);
+    std::vector<TupleSet> round = {fresh(), fresh(), fresh()};
+    spy.cancel = true;
+    EXPECT_THROW(AskRound(stack.transcript, round), Cancelled);
+    EXPECT_EQ(stack.cache.slot_count(), 2 * CachingOracle::kInitialSlots)
+        << "the round did not double the table";
+    EXPECT_EQ(Observe(stack), before);
+    spy.cancel = false;
+    for (const TupleSet& q : round) expect_reasked(stack, spy, q);
+  }
+  {
+    SCOPED_TRACE("replay serves a prefix and forwards the tail");
+    std::vector<TupleSet> recorded = {fresh(), fresh(), fresh()};
+    SpyOracle truth;
+    QuestionLog recorded_log;
+    TranscriptOracle recorder(&truth, &recorded_log);
+    AskRound(recorder, recorded);
+    SpyOracle spy;
+    CountingOracle counting(&spy);
+    CachedStack stack(&counting, recorder.entries());
+    stack.transcript.IsAnswer(recorded[0]);  // served by the replay
+    const Observed before = Observe(stack);
+    TupleSet d = fresh();
+    TupleSet e = fresh();
+    spy.cancel = true;
+    // The replay serves recorded[1..2] and forwards {d, e} to the cache.
+    EXPECT_THROW(AskRound(stack.transcript, {recorded[1], recorded[2], d, e}),
+                 Cancelled);
+    EXPECT_EQ(spy.cancelled,
+              (std::vector<std::vector<Tuple>>{d.tuples(), e.tuples()}));
+    EXPECT_EQ(Observe(stack), before);
+    spy.cancel = false;
+    expect_reasked(stack, spy, d);
+    expect_reasked(stack, spy, e);
+  }
 }
 
 TEST(CachingOracleTest, MatchesAReferenceModelThroughManyDoublings) {
@@ -244,7 +393,8 @@ TEST(CachingOracleTest, MatchesAReferenceModelThroughManyDoublings) {
   const int kN = 32;
   const size_t kQuestions = 20000;
   SpyOracle spy;
-  CachingOracle cache(&spy);
+  CachedStack stack(&spy);
+  CachingOracle& cache = stack.cache;
   std::map<std::vector<Tuple>, bool> model;
   std::vector<std::vector<Tuple>> model_asked;
   int64_t model_hits = 0;
@@ -274,9 +424,9 @@ TEST(CachingOracleTest, MatchesAReferenceModelThroughManyDoublings) {
     if (rounds % 20 == 19 && forwards) {
       spy.cancel = true;
       if (batch) {
-        EXPECT_THROW(AskRound(cache, round), Cancelled);
+        EXPECT_THROW(AskRound(stack.transcript, round), Cancelled);
       } else {
-        EXPECT_THROW(cache.IsAnswer(round[0]), Cancelled);
+        EXPECT_THROW(stack.transcript.IsAnswer(round[0]), Cancelled);
       }
       spy.cancel = false;
       continue;
@@ -294,8 +444,8 @@ TEST(CachingOracleTest, MatchesAReferenceModelThroughManyDoublings) {
       expected.push_back(it->second);
     }
     std::vector<bool> got =
-        batch ? AskRound(cache, round)
-              : std::vector<bool>{cache.IsAnswer(round[0])};
+        batch ? AskRound(stack.transcript, round)
+              : std::vector<bool>{stack.transcript.IsAnswer(round[0])};
     ASSERT_EQ(got, expected) << "round " << rounds;
     ASSERT_EQ(cache.hits(), model_hits) << "round " << rounds;
     ASSERT_EQ(cache.misses(), model_misses) << "round " << rounds;

@@ -11,6 +11,7 @@
 #include "src/core/random_query.h"
 #include "src/learn/pac.h"
 #include "src/oracle/oracle.h"
+#include "src/oracle/transcript.h"
 #include "src/util/rng.h"
 
 namespace qhorn {
@@ -162,12 +163,14 @@ TEST_P(QueryPropertyTest, CachingOracleBatchForwardsOnlyUniqueMisses) {
   Query q = RandomQuery(rng, n);
   QueryOracle base(q);
   CountingOracle counting(&base);
-  CachingOracle caching(&counting);
+  QuestionLog log;
+  CachingOracle caching(&counting, &log);
+  TranscriptOracle transcript(&caching, &log);
 
   // Warm the cache with a few sequential questions.
   std::vector<TupleSet> warm;
   for (int i = 0; i < 4; ++i) warm.push_back(RandomObject(n, rng, 4));
-  for (const TupleSet& w : warm) caching.IsAnswer(w);
+  for (const TupleSet& w : warm) transcript.IsAnswer(w);
 
   // A batch mixing fresh questions, in-batch duplicates and re-asks of the
   // warm-up questions.
@@ -198,7 +201,7 @@ TEST_P(QueryPropertyTest, CachingOracleBatchForwardsOnlyUniqueMisses) {
   int64_t inner_before = counting.stats().questions;
   int64_t rounds_before = counting.stats().rounds;
   BitVec answers;
-  caching.IsAnswerBatch(batch, answers.Prepare(batch.size()));
+  transcript.IsAnswerBatch(batch, answers.Prepare(batch.size()));
 
   EXPECT_EQ(counting.stats().questions - inner_before, expected_misses)
       << "the wrapped oracle must see each unseen question exactly once";
@@ -210,7 +213,7 @@ TEST_P(QueryPropertyTest, CachingOracleBatchForwardsOnlyUniqueMisses) {
   }
   // Re-asking the whole batch forwards nothing.
   int64_t inner_after = counting.stats().questions;
-  caching.IsAnswerBatch(batch, answers.Prepare(batch.size()));
+  transcript.IsAnswerBatch(batch, answers.Prepare(batch.size()));
   EXPECT_EQ(counting.stats().questions, inner_after);
 }
 

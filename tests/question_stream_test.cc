@@ -7,6 +7,12 @@
 // binary, so it cannot see such a drift; this suite compares against the
 // streams the learners asked when the constants were recorded.
 //
+// Besides plain learning, two session flows are pinned because they run
+// the other stage shapes of the session's oracle stack: a §5 correction
+// (the relearn runs with a replay stage between the transcript and the
+// cache) and a verify-then-revise session (several phases asking through
+// one transcript and one cache).
+//
 // The digest is FNV-1a over the fingerprint's bytes, written out here on
 // purpose: it must not move when the library's own hashing does.
 //
@@ -45,15 +51,73 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
+// How a pinned session is driven once it is opened.
+enum class Flow {
+  kLearn,              // one Learn()
+  kCorrectAndRelearn,  // Learn() with one wrong answer, then the correction
+  kVerifyRevise,       // Verify the target and the mutant, Revise the mutant
+};
+
 struct PinCase {
   QueryClass query_class;
   int n;
   uint64_t seed;
   bool speculative;  // the learners' round-sparing batched walks
   std::vector<uint64_t> digests;  // one per generated session, in order
+  Flow flow = Flow::kLearn;
 };
 
 constexpr int kSessionsPerCase = 3;
+
+// In the correction flow, the user answers the kFlipAt-th question that
+// reaches them wrongly, once. A wrong answer can drive the universal-body
+// search into a CHECK failure; this position and the seeds below are ones
+// every learner runs through.
+constexpr int64_t kFlipAt = 100;
+
+struct FlipOnceOracle : MembershipOracle {
+  explicit FlipOnceOracle(MembershipOracle* truth) : truth(truth) {}
+  bool IsAnswer(const TupleSet& q) override {
+    bool v = truth->IsAnswer(q);
+    return ++asked == kFlipAt ? !v : v;
+  }
+  MembershipOracle* truth;
+  int64_t asked = 0;
+};
+
+// Runs `c.flow` on `session` and returns the fingerprints it is pinned by.
+std::string RunFlow(const PinCase& c, const SessionSpec& s,
+                    QuerySession& session, MembershipOracle& truth) {
+  switch (c.flow) {
+    case Flow::kLearn:
+      session.Learn();
+      return SessionFingerprint(session);
+    case Flow::kCorrectAndRelearn: {
+      session.Learn();
+      std::string before = SessionFingerprint(session);
+      std::vector<TranscriptEntry> history = session.history();
+      size_t wrong = 0;
+      while (wrong < history.size() &&
+             history[wrong].response ==
+                 truth.IsAnswer(history[wrong].question)) {
+        ++wrong;
+      }
+      EXPECT_LT(wrong, history.size()) << "no answer was flipped";
+      if (wrong == history.size()) return before;
+      session.CorrectAndRelearn(wrong);
+      return before + "corrected " + std::to_string(wrong) + "\n" +
+             SessionFingerprint(session);
+    }
+    case Flow::kVerifyRevise: {
+      EXPECT_TRUE(session.Verify(s.target).accepted);
+      std::string verified = SessionFingerprint(session);
+      session.Verify(s.mutant);
+      session.Revise(s.mutant);
+      return verified + SessionFingerprint(session);
+    }
+  }
+  return "";
+}
 
 // The targets: a single-class fleet at one width, drawn by the workload
 // generator exactly as the wide end-to-end workload draws its targets.
@@ -83,15 +147,17 @@ void ExpectPinned(const PinCase& c) {
     const SessionSpec& s = targets[i];
     ASSERT_EQ(s.query_class, c.query_class);
     ASSERT_EQ(s.n, c.n);
-    QueryOracle user(s.target);
+    QueryOracle truth(s.target);
+    FlipOnceOracle flipping(&truth);
+    MembershipOracle* user = &truth;
+    if (c.flow == Flow::kCorrectAndRelearn) user = &flipping;
     QuerySession::Options options;
     options.learner.existential.speculative_batching = c.speculative;
     options.learner.universal.speculative_batching = c.speculative;
-    QuerySession session(s.n, &user, options);
-    session.Learn();
+    QuerySession session(s.n, user, options);
+    const uint64_t digest = DigestBytes(RunFlow(c, s, session, truth));
     ASSERT_TRUE(session.current_query().has_value());
     EXPECT_TRUE(Equivalent(*session.current_query(), s.target));
-    const uint64_t digest = DigestBytes(SessionFingerprint(session));
     EXPECT_EQ(Hex(digest), Hex(c.digests[i]))
         << "session " << i << " asked " << session.questions_asked()
         << " questions in " << session.rounds() << " rounds";
@@ -121,6 +187,30 @@ TEST(QuestionStreamPinTest, RpUniversalTargetsAskTheRecordedQuestions) {
                 {0x6c006e2f0e470816, 0x3843090de01bf2a5, 0xba295fa39fc37984}});
   ExpectPinned({QueryClass::kRpUniversal, 32, 33, true,
                 {0x224656260e98f9a8, 0x09039b1de43eb98a, 0x036ddec1b8b5ce8a}});
+}
+
+TEST(QuestionStreamPinTest, CorrectAndRelearnAsksTheRecordedQuestions) {
+  ExpectPinned({QueryClass::kQhorn1, 24, 41, false,
+                {0xcb5a2881a4adf986, 0x92aa1de6a931f9a9, 0x9f12d76b9477b3d5},
+                Flow::kCorrectAndRelearn});
+  ExpectPinned({QueryClass::kRpExistential, 24, 42, false,
+                {0xc54d34a541a8c13a, 0xe3e81de129fdc1af, 0x991163db1dcc95ca},
+                Flow::kCorrectAndRelearn});
+  ExpectPinned({QueryClass::kRpUniversal, 24, 45, true,
+                {0xed6f7098500e909d, 0xbcb2b05369cf7cd5, 0x0e22c663ba06423b},
+                Flow::kCorrectAndRelearn});
+}
+
+TEST(QuestionStreamPinTest, VerifyThenReviseAsksTheRecordedQuestions) {
+  ExpectPinned({QueryClass::kQhorn1, 24, 51, false,
+                {0xb7014a33b6275b88, 0x5b26bc6febb2e09f, 0xe68af31d8338609f},
+                Flow::kVerifyRevise});
+  ExpectPinned({QueryClass::kRpExistential, 32, 52, false,
+                {0x9bcbe8c09d09f323, 0x67b1f1e4711353a1, 0x485a63734c56334a},
+                Flow::kVerifyRevise});
+  ExpectPinned({QueryClass::kRpUniversal, 24, 53, true,
+                {0x404278d3515b61d6, 0xb2217da97efd909a, 0x568e86025741b3b9},
+                Flow::kVerifyRevise});
 }
 
 }  // namespace

@@ -14,7 +14,8 @@ namespace {
 
 TEST(TranscriptTest, RecordsEveryExchange) {
   QueryOracle inner(Query::Parse("∃x1", 2));
-  TranscriptOracle transcript(&inner);
+  QuestionLog log;
+  TranscriptOracle transcript(&inner, &log);
   transcript.IsAnswer(TupleSet::Parse({"10"}));
   transcript.IsAnswer(TupleSet::Parse({"01"}));
   ASSERT_EQ(transcript.entries().size(), 2u);
@@ -25,13 +26,44 @@ TEST(TranscriptTest, RecordsEveryExchange) {
 
 TEST(TranscriptTest, CorrectFlipsAndTruncates) {
   QueryOracle inner(Query::Parse("∃x1", 2));
-  TranscriptOracle transcript(&inner);
+  QuestionLog log;
+  TranscriptOracle transcript(&inner, &log);
   transcript.IsAnswer(TupleSet::Parse({"10"}));
   transcript.IsAnswer(TupleSet::Parse({"01"}));
   transcript.IsAnswer(TupleSet::Parse({"11"}));
   transcript.Correct(1);
   ASSERT_EQ(transcript.entries().size(), 2u);
   EXPECT_TRUE(transcript.entries()[1].response);  // flipped
+}
+
+TEST(TranscriptTest, CorrectRewindsTheRoundCounter) {
+  QueryOracle inner(Query::Parse("∃x1", 2));
+  QuestionLog log;
+  TranscriptOracle transcript(&inner, &log);
+  std::vector<TupleSet> batch = {TupleSet::Parse({"10"}),
+                                 TupleSet::Parse({"01"})};
+  BitVec bits;
+  transcript.IsAnswer(TupleSet::Parse({"11"}));        // round 0
+  transcript.IsAnswerBatch(batch, bits.Prepare(2));    // round 1
+  transcript.IsAnswer(TupleSet::Parse({"00"}));        // round 2
+  transcript.IsAnswer(TupleSet::Parse({"11", "00"}));  // round 3
+  ASSERT_EQ(transcript.rounds(), 4);
+
+  // Entry 1 is the first question of round 1: its round-mate and the two
+  // later rounds are discarded, and round 1 stays the last one recorded.
+  transcript.Correct(1);
+  EXPECT_EQ(transcript.rounds(), 2);
+  ASSERT_EQ(transcript.entries().size(), 2u);
+  EXPECT_EQ(log.tuples.size(), 2u) << "discarded questions left tuples";
+
+  transcript.IsAnswer(TupleSet::Parse({"00"}));
+  EXPECT_EQ(transcript.rounds(), 3);
+  std::vector<TranscriptEntry> entries = transcript.entries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[1].round, 1);
+  EXPECT_FALSE(entries[1].response) << "the correction did not flip it";
+  EXPECT_EQ(entries[2].round, 2) << "the next round skipped discarded ids";
+  EXPECT_EQ(entries[2].question, TupleSet::Parse({"00"}));
 }
 
 TEST(ReplayTest, ServesPrefixThenFallsThrough) {
@@ -86,7 +118,8 @@ TEST(CorrectionWorkflowTest, RelearnAfterCorrection) {
   flaky.inner = &truth;
   flaky.flip_at = 3;
 
-  TranscriptOracle history(&flaky);
+  QuestionLog log;
+  TranscriptOracle history(&flaky, &log);
   RpLearnerResult wrong = LearnRolePreserving(4, &history);
   ASSERT_FALSE(Equivalent(wrong.query, target));
 
