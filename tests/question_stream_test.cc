@@ -65,6 +65,10 @@ struct PinCase {
   bool speculative;  // the learners' round-sparing batched walks
   std::vector<uint64_t> digests;  // one per generated session, in order
   Flow flow = Flow::kLearn;
+  // Correction flow only: digests of the history alone (before and after
+  // the correction), without the counts, so that a change to how a
+  // correction is counted cannot hide a change to what the user was asked.
+  std::vector<uint64_t> history_digests = {};
 };
 
 constexpr int kSessionsPerCase = 3;
@@ -85,9 +89,21 @@ struct FlipOnceOracle : MembershipOracle {
   int64_t asked = 0;
 };
 
-// Runs `c.flow` on `session` and returns the fingerprints it is pinned by.
+// The history part of SessionFingerprint: every entry, without the counts.
+std::string HistoryText(const QuerySession& session) {
+  std::string out;
+  for (const TranscriptEntry& e : session.history()) {
+    out += std::to_string(e.round) + ":" + e.question.ToString(session.n());
+    out += e.response ? "+\n" : "-\n";
+  }
+  return out;
+}
+
+// Runs `c.flow` on `session` and returns the fingerprints it is pinned by;
+// the correction flow also renders the histories alone into `history`.
 std::string RunFlow(const PinCase& c, const SessionSpec& s,
-                    QuerySession& session, MembershipOracle& truth) {
+                    QuerySession& session, MembershipOracle& truth,
+                    std::string* history) {
   switch (c.flow) {
     case Flow::kLearn:
       session.Learn();
@@ -95,18 +111,20 @@ std::string RunFlow(const PinCase& c, const SessionSpec& s,
     case Flow::kCorrectAndRelearn: {
       session.Learn();
       std::string before = SessionFingerprint(session);
-      std::vector<TranscriptEntry> history = session.history();
+      std::vector<TranscriptEntry> entries = session.history();
       size_t wrong = 0;
-      while (wrong < history.size() &&
-             history[wrong].response ==
-                 truth.IsAnswer(history[wrong].question)) {
+      while (wrong < entries.size() &&
+             entries[wrong].response ==
+                 truth.IsAnswer(entries[wrong].question)) {
         ++wrong;
       }
-      EXPECT_LT(wrong, history.size()) << "no answer was flipped";
-      if (wrong == history.size()) return before;
+      EXPECT_LT(wrong, entries.size()) << "no answer was flipped";
+      if (wrong == entries.size()) return before;
+      *history = HistoryText(session);
       session.CorrectAndRelearn(wrong);
-      return before + "corrected " + std::to_string(wrong) + "\n" +
-             SessionFingerprint(session);
+      const std::string corrected = "corrected " + std::to_string(wrong) + "\n";
+      *history += corrected + HistoryText(session);
+      return before + corrected + SessionFingerprint(session);
     }
     case Flow::kVerifyRevise: {
       EXPECT_TRUE(session.Verify(s.target).accepted);
@@ -155,12 +173,19 @@ void ExpectPinned(const PinCase& c) {
     options.learner.existential.speculative_batching = c.speculative;
     options.learner.universal.speculative_batching = c.speculative;
     QuerySession session(s.n, user, options);
-    const uint64_t digest = DigestBytes(RunFlow(c, s, session, truth));
+    std::string history;
+    const uint64_t digest =
+        DigestBytes(RunFlow(c, s, session, truth, &history));
     ASSERT_TRUE(session.current_query().has_value());
     EXPECT_TRUE(Equivalent(*session.current_query(), s.target));
     EXPECT_EQ(Hex(digest), Hex(c.digests[i]))
         << "session " << i << " asked " << session.questions_asked()
         << " questions in " << session.rounds() << " rounds";
+    if (c.flow == Flow::kCorrectAndRelearn) {
+      ASSERT_EQ(c.history_digests.size(), c.digests.size());
+      EXPECT_EQ(Hex(DigestBytes(history)), Hex(c.history_digests[i]))
+          << "session " << i << ": history differs";
+    }
   }
 }
 
@@ -192,13 +217,16 @@ TEST(QuestionStreamPinTest, RpUniversalTargetsAskTheRecordedQuestions) {
 TEST(QuestionStreamPinTest, CorrectAndRelearnAsksTheRecordedQuestions) {
   ExpectPinned({QueryClass::kQhorn1, 24, 41, false,
                 {0xcb5a2881a4adf986, 0x92aa1de6a931f9a9, 0x9f12d76b9477b3d5},
-                Flow::kCorrectAndRelearn});
+                Flow::kCorrectAndRelearn,
+                {0xb3f569f0a05ceab2, 0x47c787425ec28408, 0xcc42cbd341bf0794}});
   ExpectPinned({QueryClass::kRpExistential, 24, 42, false,
                 {0xc54d34a541a8c13a, 0xe3e81de129fdc1af, 0x991163db1dcc95ca},
-                Flow::kCorrectAndRelearn});
+                Flow::kCorrectAndRelearn,
+                {0xcf350adc3c556d99, 0x32d9346576e91fcb, 0x2c2e771732d9d68a}});
   ExpectPinned({QueryClass::kRpUniversal, 24, 45, true,
                 {0xed6f7098500e909d, 0xbcb2b05369cf7cd5, 0x0e22c663ba06423b},
-                Flow::kCorrectAndRelearn});
+                Flow::kCorrectAndRelearn,
+                {0x3c95dc185e06380c, 0x0db66afd6c9d52b9, 0x206080c0c039d003}});
 }
 
 TEST(QuestionStreamPinTest, VerifyThenReviseAsksTheRecordedQuestions) {
