@@ -99,12 +99,10 @@ int main() {
 
       QueryOracle o2(target);
       CountingOracle c2(&o2);
-      QuestionLog log;
-      CachingOracle cache(&c2, &log);
-      TranscriptOracle transcript(&cache, &log);
-      LearnUniversalHorns(n, &transcript);
+      QuestionStore store(&c2);
+      LearnUniversalHorns(n, &store);
       cached_q.Add(static_cast<double>(c2.stats().questions));
-      hits.Add(static_cast<double>(cache.hits()));
+      hits.Add(static_cast<double>(store.hits()));
     }
     cache_table.Row()
         .Cell(n)

@@ -4,11 +4,11 @@
 // corrected mid-session — restarting learning from the point of error.
 
 #include <cstdio>
+#include <vector>
 
 #include "src/core/normalize.h"
-#include "src/learn/rp_learner.h"
-#include "src/oracle/transcript.h"
 #include "src/relation/chocolate.h"
+#include "src/session/session.h"
 
 using namespace qhorn;
 
@@ -55,34 +55,45 @@ int main() {
               static_cast<long long>(selector.from_pool()),
               static_cast<long long>(selector.synthesized()));
 
-  // Session 1: the user mislabels question #5; learning goes wrong.
+  // The session: the user mislabels question #5; learning goes wrong.
   QueryOracle truth(intended);
   DistractedUser distracted(&truth, /*wrong_at=*/5);
-  QuestionLog log;
-  TranscriptOracle history(&distracted, &log);
-  RpLearnerResult wrong = LearnRolePreserving(3, &history);
+  QuerySession session(3, &distracted);
+  Query wrong = session.Learn();
   std::printf("learned with one wrong answer:  %s   (equivalent: %s)\n",
-              wrong.query.ToString().c_str(),
-              Equivalent(wrong.query, intended) ? "yes" : "no");
+              wrong.ToString().c_str(),
+              Equivalent(wrong, intended) ? "yes" : "no");
 
-  // The user reviews the history and fixes answer #5.
-  std::printf("\nresponse history before correction:\n%s",
-              history.ToString(3).c_str());
-  history.Correct(4);
-  std::printf("...user flips the response to Q5 and learning restarts "
-              "from that point.\n\n");
+  // The user reviews the history and finds the answer they got wrong.
+  std::vector<TranscriptEntry> history = session.history();
+  std::printf("\nresponse history before correction:\n");
+  size_t wrong_at = history.size();
+  for (size_t i = 0; i < history.size(); ++i) {
+    const TranscriptEntry& e = history[i];
+    std::printf("Q%zu: %s  → %s\n", i + 1, e.question.ToString(3).c_str(),
+                e.response ? "answer" : "non-answer");
+    if (wrong_at == history.size() &&
+        e.response != truth.IsAnswer(e.question)) {
+      wrong_at = i;
+    }
+  }
+  if (wrong_at == history.size()) return 1;
+  std::printf("...user flips the response to Q%zu and learning restarts "
+              "from that point.\n\n",
+              wrong_at + 1);
 
-  // Session 2: replay the corrected prefix; only new questions reach the
-  // (now attentive) user.
-  CountingOracle attentive(&truth);
-  ReplayOracle replay(history.entries(), &attentive);
-  RpLearnerResult fixed = LearnRolePreserving(3, &replay);
+  // The correction replays the answers the user gave before the wrong one
+  // (and the fixed one); only new questions reach the (now attentive) user.
+  const int64_t asked_before = session.questions_asked();
+  const Query& fixed = session.CorrectAndRelearn(wrong_at);
+  const int64_t replayed = session.user_questions_replayed();
   std::printf("learned after correction:       %s   (equivalent: %s)\n",
-              fixed.query.ToString().c_str(),
-              Equivalent(fixed.query, intended) ? "yes" : "no");
+              fixed.ToString().c_str(),
+              Equivalent(fixed, intended) ? "yes" : "no");
   std::printf("replayed %lld recorded answers; asked the user only %lld "
-              "fresh questions\n",
-              static_cast<long long>(replay.replayed()),
-              static_cast<long long>(replay.asked()));
-  return Equivalent(fixed.query, intended) ? 0 : 1;
+              "fresh questions (%lld before the correction)\n",
+              static_cast<long long>(replayed),
+              static_cast<long long>(session.questions_asked() - replayed),
+              static_cast<long long>(asked_before));
+  return Equivalent(fixed, intended) ? 0 : 1;
 }

@@ -35,8 +35,7 @@ int main() {
   // 3. The learner asks membership questions; the simulated user answers
   //    by looking at materialized boxes. Every exchange is recorded.
   DataDomainOracle user(intended, &binding);
-  QuestionLog log;
-  TranscriptOracle history(&user, &log);
+  QuestionStore history(&user);
   RpLearnerResult result = LearnRolePreserving(binding.n(), &history);
 
   std::printf("\nquestion/answer transcript (%zu questions):\n",

@@ -2,12 +2,12 @@
 //
 // A membership question (§2.1.2) is an object: a *set* of Boolean tuples.
 // TupleSet keeps its tuples sorted and deduplicated so that equal objects
-// compare equal and hash equally — the caching oracle and the adversarial
+// compare equal and hash equally — the question store and the adversarial
 // oracles rely on this canonical form. Building from an already sorted
 // list skips the sort (one ordered pass plus the dedup), which is how the
 // learners' merge-built questions arrive. The hash of the canonical tuple
 // list is computed lazily on first use and cached, so Hash() is amortized
-// O(1) where it matters — the caching oracle probes its table once per
+// O(1) where it matters — the question store probes its table once per
 // question and must not pay a full rehash each time — while the learners'
 // probe loops, which build thousands of questions that are never hashed,
 // pay nothing. A rehash costs one multiply–xorshift step per tuple

@@ -156,7 +156,7 @@ class CompiledQuery {
 
   /// Evaluates a span of objects — the kernel behind every batched oracle
   /// round (QueryOracle::IsAnswerBatch and the miss-only forwarding of
-  /// CachingOracle both land here). `verdicts.size()` must equal
+  /// QuestionStore both land here). `verdicts.size()` must equal
   /// `objects.size()`; verdict i answers object i.
   void EvaluateAll(std::span<const TupleSet> objects, BitSpan verdicts) const;
 

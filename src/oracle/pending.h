@@ -26,7 +26,7 @@
 //
 // Round ids count *user-boundary* rounds (each suspension is one round);
 // they are the resumption protocol's sequence numbers, distinct from the
-// TranscriptOracle round ids the session reports. An empty round is a
+// QuestionStore round ids the session reports. An empty round is a
 // no-op, not a suspension — sequential equivalence says zero questions
 // mean zero user interactions.
 

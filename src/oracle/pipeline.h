@@ -8,15 +8,18 @@
 // decorator it owns. The user-facing entry point is top(); the stage
 // nearest the backend was pushed first.
 //
-//   QuestionLog log;                     // outlives the pipeline
-//   OraclePipeline p(&backend);          // transcript → cache → counting
+//   OraclePipeline p(&backend);          // store → counting → backend
 //   auto* counting = p.Push<CountingOracle>();
-//   auto* cache = p.Push<CachingOracle>(&log);
-//   auto* transcript = p.Push<TranscriptOracle>(&log);
+//   auto* store = p.Push<QuestionStore>();  // history + question cache
 //   learner.Learn(p.top());
 //
-// The transcript and the cache share one QuestionLog, each asked question
-// stored once: the transcript writes it and the cache indexes it.
+// A correction builds a fresh pipeline with the corrected prefix replayed
+// directly above the backend (QuerySession::CorrectAndRelearn):
+//
+//   OraclePipeline fixed(&backend);  // store → counting → replay → backend
+//   fixed.Push<ReplayOracle>(store->CorrectedPrefix(index));
+//   fixed.Push<CountingOracle>();
+//   fixed.Push<QuestionStore>();
 //
 // The Backend/Stage concepts make the two roles explicit: a Backend is any
 // MembershipOracle (it terminates the chain); a Stage is a MembershipOracle

@@ -1,87 +1,219 @@
 #include "src/oracle/transcript.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "src/util/check.h"
 
 namespace qhorn {
 
-size_t TranscriptOracle::Stage(const TupleSet& question) {
-  const size_t offset = log_->tuples.size();
-  QHORN_CHECK(question.size() <= INT32_MAX &&
+QuestionStore::Probed QuestionStore::Probe(const TupleSet& question,
+                                           uint64_t hash) const {
+  if (slots_.empty()) return {0, kEmpty};
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.state() == kEmpty ||
+        (slot.hash == hash && slot.size() == question.size() &&
+         std::equal(question.begin(), question.end(),
+                    tuples_.begin() + slot.offset))) {
+      return {i, slot.state()};
+    }
+  }
+}
+
+size_t QuestionStore::Insert(const TupleSet& question, uint64_t hash,
+                             size_t slot, State state) {
+  const size_t offset = tuples_.size();
+  QHORN_CHECK(question.size() <= (UINT32_MAX >> 2) &&
               offset + question.size() <= UINT32_MAX);
-  log_->tuples.insert(log_->tuples.end(), question.begin(), question.end());
-  return offset;
-}
-
-bool TranscriptOracle::IsAnswer(const TupleSet& question) {
-  // The question is staged in the log before the forward (a cache below
-  // indexes it there), and the round id is consumed only after the inner
-  // oracle answers: a cancelled parked round (pending backend) unwinds by
-  // throwing, and the unanswered round must not burn an id or leave an
-  // entry or tuples behind.
-  const size_t offset = Stage(question);
-  bool response = false;
-  try {
-    response = inner_->IsAnswer(question);
-  } catch (...) {
-    log_->tuples.resize(offset);
-    throw;
+  tuples_.insert(tuples_.end(), question.begin(), question.end());
+  if (2 * (count_ + 1) > slots_.size()) {
+    Grow();
+    slot = Probe(question, hash).slot;  // absent: an empty slot
   }
-  log_->entries.push_back(
-      {static_cast<uint32_t>(offset), static_cast<uint32_t>(question.size()),
-       response, rounds_++});
-  return response;
+  slots_[slot] = Slot{hash, static_cast<uint32_t>(offset),
+                      static_cast<uint32_t>(question.size() << 2) | state};
+  ++count_;
+  return slot;
 }
 
-void TranscriptOracle::IsAnswerBatch(std::span<const TupleSet> questions,
-                                     BitSpan answers) {
-  // An empty batch is zero sequential questions: no round id is consumed,
-  // nothing is recorded, and the inner oracle is not called. As for a
-  // single question, the round is staged before the forward and its round
-  // id consumed after it, so a cancelled round leaves the history as it
-  // was.
+void QuestionStore::Grow() {
+  std::vector<Slot> old = std::exchange(
+      slots_, std::vector<Slot>(std::max(kInitialSlots, slots_.size() * 2)));
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.state() == kEmpty) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].state() != kEmpty) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+void QuestionStore::Erase(size_t slot) {
+  const size_t mask = slots_.size() - 1;
+  size_t hole = slot;
+  for (size_t j = (hole + 1) & mask; slots_[j].state() != kEmpty;
+       j = (j + 1) & mask) {
+    // Slot j may move back into the hole unless its home lies in
+    // (hole, j], where the hole does not break its probe path.
+    size_t home = slots_[j].hash & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --count_;
+}
+
+bool QuestionStore::IsAnswer(const TupleSet& question) {
+  const uint64_t hash = question.Hash();
+  Probed probed = Probe(question, hash);
+  Record record{0, static_cast<uint32_t>(question.size()), 0, 0, rounds_};
+  if (probed.state != kEmpty) {
+    ++hits_;
+    record.offset = slots_[probed.slot].offset;
+    record.response = probed.state == kYes;
+  } else {
+    // A cancelled parked round (pending backend) unwinds by throwing here;
+    // nothing has been stored or counted yet, so the unanswered question
+    // leaves no trace.
+    const bool answer = inner_->IsAnswer(question);
+    ++misses_;
+    record.offset = static_cast<uint32_t>(tuples_.size());
+    Insert(question, hash, probed.slot, answer ? kYes : kNo);
+    record.response = answer;
+    record.forwarded = 1;
+  }
+  records_.push_back(record);
+  ++rounds_;
+  return record.response != 0;
+}
+
+void QuestionStore::IsAnswerBatch(std::span<const TupleSet> questions,
+                                  BitSpan answers) {
+  // Partition in question order. A duplicate of an earlier miss in the same
+  // round counts as a hit (the sequential path would have stored the first
+  // occurrence before seeing the second), so the forwarded batch holds each
+  // unseen question exactly once, in first-occurrence order. One probe per
+  // question: each miss is stored with a kPending placeholder, which is
+  // what a later duplicate in the round finds, and every question's slot
+  // is remembered and patched or read after the inner round answers the
+  // misses. An insert that doubles the table moves the slots, so such a
+  // round re-probes them once. An empty round is zero sequential
+  // questions: no probe, no forward, no round id.
   if (questions.empty()) return;
-  const size_t begin = log_->tuples.size();
-  for (const TupleSet& q : questions) Stage(q);
-  try {
-    inner_->IsAnswerBatch(questions, answers);
-  } catch (...) {
-    log_->tuples.resize(begin);
-    throw;
-  }
-  const int64_t round = rounds_++;
-  size_t offset = begin;
+  const size_t tuples_before = tuples_.size();
+  const size_t round_slots = slots_.size();
+  miss_indices_.clear();
+  slot_of_.clear();
+  bool contiguous = true;
   for (size_t i = 0; i < questions.size(); ++i) {
-    log_->entries.push_back({static_cast<uint32_t>(offset),
-                             static_cast<uint32_t>(questions[i].size()),
-                             answers.Get(i), round});
-    offset += questions[i].size();
+    uint64_t hash = questions[i].Hash();
+    auto [slot, state] = Probe(questions[i], hash);
+    if (state == kEmpty) {
+      if (!miss_indices_.empty() && miss_indices_.back() + 1 != i) {
+        contiguous = false;
+      }
+      miss_indices_.push_back(i);
+      slot = Insert(questions[i], hash, slot, kPending);
+    }
+    slot_of_.push_back(slot);
   }
+  if (!miss_indices_.empty()) {
+    BitSpan miss_bits = miss_answers_.Prepare(miss_indices_.size());
+    try {
+      if (contiguous) {
+        // The misses are one run [front, back] of the caller's span:
+        // forward that subspan directly — an index-based view, no TupleSet
+        // copies no matter how wide the round. This is the hot shape: an
+        // all-fresh round is contiguous, and so is any round whose hits sit
+        // only at the edges.
+        inner_->IsAnswerBatch(
+            questions.subspan(miss_indices_.front(), miss_indices_.size()),
+            miss_bits);
+      } else {
+        // Hits interleaved between misses: gather the misses. The copies
+        // are confined to this cold shape (reused capacity, but each
+        // TupleSet still copies its tuple storage).
+        miss_questions_.clear();
+        for (size_t idx : miss_indices_)
+          miss_questions_.push_back(questions[idx]);
+        inner_->IsAnswerBatch(miss_questions_, miss_bits);
+      }
+    } catch (...) {
+      // Cancelled parked round (pending backend): erase this round's
+      // placeholders newest first, then drop their tuples, so the store
+      // holds exactly the pre-round questions. Each placeholder is found by
+      // content: an earlier erase or a doubling may have moved it.
+      for (size_t k = miss_indices_.size(); k-- > 0;) {
+        const TupleSet& q = questions[miss_indices_[k]];
+        Erase(Probe(q, q.Hash()).slot);
+      }
+      tuples_.resize(tuples_before);
+      throw;
+    }
+    if (slots_.size() != round_slots) {
+      for (size_t i = 0; i < questions.size(); ++i) {
+        slot_of_[i] = Probe(questions[i], questions[i].Hash()).slot;
+      }
+    }
+    for (size_t k = 0; k < miss_indices_.size(); ++k) {
+      Slot& slot = slots_[slot_of_[miss_indices_[k]]];
+      slot.size_state = (slot.size_state & ~3u) |
+                        (miss_bits.Get(k) ? kYes : kNo);
+    }
+  }
+  misses_ += static_cast<int64_t>(miss_indices_.size());
+  hits_ += static_cast<int64_t>(questions.size() - miss_indices_.size());
+  size_t next_miss = 0;
+  for (size_t i = 0; i < questions.size(); ++i) {
+    const Slot& slot = slots_[slot_of_[i]];
+    const bool forwarded = next_miss < miss_indices_.size() &&
+                           miss_indices_[next_miss] == i;
+    next_miss += forwarded;
+    records_.push_back({slot.offset, static_cast<uint32_t>(slot.size()),
+                        slot.state() == kYes, forwarded, rounds_});
+    answers.Set(i, slot.state() == kYes);
+  }
+  ++rounds_;
 }
 
-std::vector<TranscriptEntry> TranscriptOracle::entries() const {
+TranscriptEntry QuestionStore::Entry(const Record& r) const {
+  auto first = tuples_.begin() + r.offset;
+  return {TupleSet(std::vector<Tuple>(first, first + r.size)),
+          r.response != 0, r.round};
+}
+
+std::vector<TranscriptEntry> QuestionStore::entries() const {
   std::vector<TranscriptEntry> out;
-  out.reserve(log_->entries.size());
-  for (const QuestionLog::Entry& e : log_->entries) {
-    auto first = log_->tuples.begin() + e.offset;
-    out.push_back({TupleSet(std::vector<Tuple>(first, first + e.size)),
-                   e.response != 0, e.round});
-  }
+  out.reserve(records_.size());
+  for (const Record& r : records_) out.push_back(Entry(r));
   return out;
 }
 
-void TranscriptOracle::Correct(size_t index) {
-  QHORN_CHECK_MSG(index < log_->entries.size(),
-                  "no transcript entry " << index);
-  QuestionLog::Entry& e = log_->entries[index];
-  e.response = !e.response;
-  log_->tuples.resize(e.offset + e.size);
-  rounds_ = e.round + 1;
-  log_->entries.resize(index + 1);
+std::vector<TranscriptEntry> QuestionStore::CorrectedPrefix(
+    size_t index) const {
+  QHORN_CHECK_MSG(index < records_.size(), "no history entry " << index);
+  // A question's tuples are stored once, by its first asking, and every
+  // record of it points there; a forwarded record's offset and size name
+  // its question uniquely (only an empty question has size 0).
+  const Record& wrong = records_[index];
+  std::vector<TranscriptEntry> prefix;
+  for (const Record& r : records_) {
+    if (!r.forwarded) continue;
+    prefix.push_back(Entry(r));
+    if (r.offset == wrong.offset && r.size == wrong.size) {
+      prefix.back().response = !prefix.back().response;
+      break;
+    }
+  }
+  return prefix;
 }
 
-std::string TranscriptOracle::ToString(int n) const {
+std::string QuestionStore::ToString(int n) const {
   std::string out;
   std::vector<TranscriptEntry> history = entries();
   for (size_t i = 0; i < history.size(); ++i) {
@@ -108,10 +240,18 @@ bool ReplayOracle::TryReplay(const TupleSet& question, bool* response) {
 
 bool ReplayOracle::IsAnswer(const TupleSet& question) {
   bool response = false;
+  const bool diverged = diverged_;
   if (TryReplay(question, &response)) return response;
   // Counted after the fallback answers, so a cancelled question (pending
-  // backend throwing JobSuspended) is not recorded as asked.
-  bool answer = fallback_->IsAnswer(question);
+  // backend throwing JobSuspended) is not recorded as asked, and the
+  // divergence it found is forgotten with it.
+  bool answer = false;
+  try {
+    answer = fallback_->IsAnswer(question);
+  } catch (...) {
+    diverged_ = diverged;
+    throw;
+  }
   ++asked_;
   return answer;
 }
@@ -121,7 +261,12 @@ void ReplayOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   // Serve the still-matching transcript prefix, then send the remainder to
   // the fallback in one round. Once any question needs the fallback, every
   // later one does too (a mismatch diverges the replay; an exhausted
-  // transcript stays exhausted), so the remainder is a contiguous tail.
+  // transcript stays exhausted), so the remainder is a contiguous tail. A
+  // round the fallback cancels by throwing rewinds the replay to where the
+  // round found it, so the round asked again is served the same way.
+  const size_t next = next_;
+  const bool diverged = diverged_;
+  const int64_t replayed = replayed_;
   size_t served = 0;
   for (; served < questions.size(); ++served) {
     bool response = false;
@@ -130,7 +275,14 @@ void ReplayOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   }
   if (served == questions.size()) return;
   std::span<const TupleSet> rest = questions.subspan(served);
-  fallback_->IsAnswerBatch(rest, answers.Subspan(served));
+  try {
+    fallback_->IsAnswerBatch(rest, answers.Subspan(served));
+  } catch (...) {
+    next_ = next;
+    diverged_ = diverged;
+    replayed_ = replayed;
+    throw;
+  }
   asked_ += static_cast<int64_t>(rest.size());
 }
 

@@ -1,30 +1,27 @@
-// Response history and correction-replay (§5, "Noisy Users").
+// The session's question store, response history and correction replay
+// (§5, "Noisy Users").
 //
 // The paper suggests that a good interface keeps a history of the user's
 // responses so an incorrect response can be fixed, "triggering the query
 // learning algorithm to restart query learning from the point of error".
-// TranscriptOracle records every (question, response); Correct() flips a
-// recorded response; ReplayOracle then serves the corrected prefix verbatim
-// and falls through to the ground-truth oracle afterwards — exactly the
-// restart-from-the-point-of-error workflow.
+// It also charges each question once. QuestionStore does both in one
+// stage: it records every (question, response) in order, and it answers a
+// question it has seen before from its record, so the user is never asked
+// the same object twice. A correction is a replay at the user boundary:
+// CorrectedPrefix() lists the questions that reached the user up to the
+// wrong one, with that response flipped, and a ReplayOracle directly above
+// the user serves them verbatim to a fresh store, falling through to the
+// user once the learner's questions diverge from the recording.
 //
-// Both decorators are batch-aware: a batched round records (or replays)
-// its questions in order, and each transcript entry remembers which round
-// it arrived in, so a UI can render "round 7 asked these 12 questions
+// Both stages are batch-aware: a batched round records (or replays) its
+// questions in order, and each history entry remembers which round it
+// arrived in, so a UI can render "round 7 asked these 12 questions
 // together" while correction indices keep addressing single questions.
-//
-// The history is one flat QuestionLog (oracle.h): every asked question's
-// tuples back to back, and a 16-byte record (offset, size, response,
-// round) per answered question. The transcript appends a round's
-// questions to the log *before* it forwards the round, which is what lets
-// a CachingOracle below it share the log instead of copying each question
-// a second time; a round cancelled by a throw is truncated off again. The
-// log is the only copy of the questions a session keeps, so entries()
-// builds TranscriptEntry values from it on demand.
 
 #ifndef QHORN_ORACLE_TRANSCRIPT_H_
 #define QHORN_ORACLE_TRANSCRIPT_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,48 +39,137 @@ struct TranscriptEntry {
   int64_t round = 0;
 };
 
-/// Decorator that records the full exchange history into a QuestionLog.
-class TranscriptOracle : public MembershipOracle {
+/// Records every question asked through it, in order, and forwards each
+/// distinct question once: a repeat, within a round or across rounds, is
+/// answered from the store and counted as a hit.
+///
+/// Each forwarded question is stored once, in one flat log: its tuples
+/// back to back in `tuples_`, located by a 16-byte history record (offset,
+/// size, response, round) per asked question; a repeat's record points at
+/// the tuples of the question's first asking. The lookup is one flat
+/// open-addressed table over that log: a power-of-two slot array with
+/// linear probing at most half full. A slot is 16 bytes — the question's
+/// full TupleSet::Hash(), its offset and size in the log, and its state —
+/// so a probe compares hashes first and touches the log only on a
+/// hash-and-size match, and growth re-places slots from their stored
+/// hashes without reading the log. A question costs one probe, one record
+/// and, when it is forwarded, one append and one slot; nothing is allocated
+/// per question. The first table has kInitialSlots slots and is allocated
+/// by the first insert, so a short session pays for a few hundred bytes,
+/// not for the ~2000 questions of a wide one.
+///
+/// A batch forwards only its unique misses to the wrapped oracle. When the
+/// misses form one contiguous run (the common shapes: an all-fresh round,
+/// or hits only at the edges), the forward is a subspan of the caller's
+/// own span — an index-based view, no TupleSet is copied however wide the
+/// round; only rounds with hits *interleaved between* misses fall back to
+/// gathering the misses into a scratch vector. A round the wrapped oracle
+/// cancels by throwing (a pending backend's cancelled round) leaves the
+/// log, the table, the round counter and the hit and miss counts as they
+/// were before it.
+class QuestionStore : public MembershipOracle {
  public:
-  /// `log` must be empty and outlive the transcript; a CachingOracle below
-  /// the transcript is built over the same log.
-  TranscriptOracle(MembershipOracle* inner, QuestionLog* log)
-      : inner_(inner), log_(log) {}
+  /// Slots in the first table, allocated by the first insert (so opening
+  /// a session allocates nothing here). The table doubles before an insert
+  /// would fill more than half of it, so the first table holds
+  /// kInitialSlots / 2 questions.
+  static constexpr size_t kInitialSlots = 16;
+
+  explicit QuestionStore(MembershipOracle* inner) : inner_(inner) {}
 
   bool IsAnswer(const TupleSet& question) override;
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
-  /// The recorded exchanges, in order, built from the log: O(total tuples)
-  /// per call.
+  /// The recorded exchanges, in the order they were asked, repeats served
+  /// from the store included: O(total tuples) per call.
   std::vector<TranscriptEntry> entries() const;
+
+  /// What a correction of entry `index` replays at the user boundary: the
+  /// first asking of each question in entries 0..index, in order, ending
+  /// at the first asking of entry `index`'s question, whose response is
+  /// flipped. (For a repeat served from the store, the wrong response is
+  /// the one its first asking recorded.)
+  std::vector<TranscriptEntry> CorrectedPrefix(size_t index) const;
 
   /// Oracle rounds recorded so far (single questions and batches alike).
   int64_t rounds() const { return rounds_; }
-
-  /// Flips the recorded response at `index` (0-based). Later entries are
-  /// discarded: they were computed from the bad answer and must be
-  /// re-asked. The next round's id follows the round of entry `index`. A
-  /// CachingOracle over the same log may index the discarded questions and
-  /// must be discarded with them.
-  void Correct(size_t index);
+  /// Questions answered from the store, and questions forwarded.
+  int64_t hits() const { return hits_; }
+  int64_t misses() const { return misses_; }
+  /// Distinct questions stored; the table's current slot count (0 before
+  /// the first insert); the tuples the log holds.
+  size_t size() const { return count_; }
+  size_t slot_count() const { return slots_.size(); }
+  size_t stored_tuples() const { return tuples_.size(); }
 
   /// Renders the history, e.g. for the examples' console output.
   std::string ToString(int n) const;
 
  private:
-  // Appends `question` to the log's tuples and returns where it starts.
-  size_t Stage(const TupleSet& question);
+  struct Record {
+    uint32_t offset = 0;        // first tuple in `tuples_`
+    uint32_t size : 30 = 0;     // tuple count
+    uint32_t response : 1 = 0;
+    uint32_t forwarded : 1 = 0;  // the question's first asking
+    int64_t round = 0;           // oracle round it was answered in
+  };
+  static_assert(sizeof(Record) == 16);
+
+  // kPending marks a batch's placeholder between its insert and the
+  // wrapped oracle's answer; it never outlives an IsAnswerBatch call.
+  enum State : uint32_t { kEmpty = 0, kNo = 1, kYes = 2, kPending = 3 };
+
+  struct Slot {
+    uint64_t hash = 0;        // the question's TupleSet::Hash()
+    uint32_t offset = 0;      // first tuple in `tuples_`
+    uint32_t size_state = 0;  // tuple count << 2 | State
+
+    State state() const { return static_cast<State>(size_state & 3); }
+    size_t size() const { return size_state >> 2; }
+  };
+  static_assert(sizeof(Slot) == 16);
+
+  // The slot holding `question` and its state, or the empty slot that
+  // ends its probe and kEmpty (slot 0 while no table is allocated).
+  struct Probed {
+    size_t slot;
+    State state;
+  };
+  Probed Probe(const TupleSet& question, uint64_t hash) const;
+  // Appends `question` to the log and fills the empty slot `slot` (found
+  // by Probe for it) in `state`, doubling the table first if it would pass
+  // half full; returns the slot the question landed in.
+  size_t Insert(const TupleSet& question, uint64_t hash, size_t slot,
+                State state);
+  void Grow();
+  // Backward-shift deletion: empties `slot` and moves later members of
+  // its cluster back so every remaining question stays reachable.
+  void Erase(size_t slot);
+  TranscriptEntry Entry(const Record& r) const;
 
   MembershipOracle* inner_;
-  QuestionLog* log_;
+  std::vector<Tuple> tuples_;    // every forwarded question, back to back
+  std::vector<Record> records_;  // every answered question, in order
+  std::vector<Slot> slots_;  // empty, or power-of-two size at most half full
+  size_t count_ = 0;
   int64_t rounds_ = 0;
+  int64_t hits_ = 0;
+  int64_t misses_ = 0;
+  // Round-local scratch, members so a steady-state round allocates
+  // nothing. Never read across calls; safe because the inner round runs on
+  // a *different* oracle object (the stack is a chain, not a cycle).
+  std::vector<size_t> miss_indices_;
+  std::vector<TupleSet> miss_questions_;  // gather fallback only
+  std::vector<size_t> slot_of_;           // per question of the round
+  BitVec miss_answers_;
 };
 
 /// Serves recorded responses for questions that match the transcript
 /// prefix in order; once the prefix is exhausted (or a question deviates),
-/// defers to the fallback oracle. Used to re-run a learner after a
-/// correction without re-asking the user everything.
+/// defers to the fallback oracle. Sits directly above the user to re-run a
+/// session after a correction, or after a restart of a pending session,
+/// without re-asking the user anything they already answered.
 class ReplayOracle : public MembershipOracle {
  public:
   ReplayOracle(std::vector<TranscriptEntry> transcript,

@@ -4,7 +4,7 @@
 // target is heavy traffic from many concurrent users. The router owns the
 // executor and multiplexes N live sessions across it:
 //
-//   * Each session keeps its own oracle pipeline (transcript → cache →
+//   * Each session keeps its own oracle pipeline (question store →
 //     counting → user backend), so per-user state never crosses threads.
 //   * Jobs against one session run strictly in submission order, one at a
 //     time (QuerySession is not thread-safe and the learning protocol is

@@ -11,37 +11,30 @@ QuerySession::QuerySession(int n, MembershipOracle* user, Options options)
     : n_(n), user_(user), options_(options) {
   QHORN_CHECK(user != nullptr);
   QHORN_CHECK(n >= 1 && n <= kMaxVars);
-  BuildPipeline({}, {});
+  BuildPipeline({});
 }
 
-void QuerySession::BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
-                                 std::vector<TranscriptEntry> user_prefix) {
+void QuerySession::BuildPipeline(std::vector<TranscriptEntry> user_prefix) {
   // The live user-boundary replay stage dies with the old pipeline; bank
   // its served-question count first so user_questions_replayed() stays
-  // cumulative across restart attempts.
+  // cumulative across restarts.
   if (user_replay_ != nullptr) user_replayed_total_ += user_replay_->replayed();
   user_replay_ = nullptr;
-  log_ = QuestionLog();
   OraclePipeline pipeline(user_);
   if (!user_prefix.empty()) {
     user_replay_ = pipeline.Push<ReplayOracle>(std::move(user_prefix));
   }
   counting_ = pipeline.Push<CountingOracle>();
-  cache_ = options_.cache_questions ? pipeline.Push<CachingOracle>(&log_)
-                                    : nullptr;
-  if (!replay_prefix.empty()) {
-    pipeline.Push<ReplayOracle>(std::move(replay_prefix));
-  }
-  transcript_ = pipeline.Push<TranscriptOracle>(&log_);
+  store_ = pipeline.Push<QuestionStore>();
   pipeline_ = std::move(pipeline);
   top_ = pipeline_.top();
+  current_.reset();
 }
 
 void QuerySession::ResetWithUserReplay(
     std::vector<TranscriptEntry> user_prefix) {
   continuation_mode_ = true;
-  BuildPipeline({}, std::move(user_prefix));
-  current_.reset();
+  BuildPipeline(std::move(user_prefix));
 }
 
 const Query& QuerySession::Learn() {
@@ -72,15 +65,8 @@ const Query& QuerySession::CorrectAndRelearn(size_t index) {
   QHORN_CHECK_MSG(!continuation_mode_,
                   "CorrectAndRelearn is not supported on pending-round "
                   "continuation sessions; close the session and re-learn");
-  transcript_->Correct(index);
-  // Rebuild the chain with the corrected prefix behind a replay stage;
-  // fresh questions flow to the user through a fresh cache (the old cache
-  // holds the wrong answer) and the new transcript re-records the whole
-  // corrected run.
-  BuildPipeline(transcript_->entries(), {});
-  RpLearnerResult result = LearnRolePreserving(n_, top_, options_.learner);
-  current_ = std::move(result.query);
-  return *current_;
+  BuildPipeline(store_->CorrectedPrefix(index));
+  return Learn();
 }
 
 }  // namespace qhorn

@@ -4,7 +4,7 @@
 // Both hash a canonical list of 64-bit words. Each word costs one
 // multiply and one xorshift on the dependency chain; the byte-wise FNV-1a
 // this replaces paid eight dependent multiplies per word, which made the
-// caching oracle's per-question probe the learners' hottest function on
+// question store's per-question probe the learners' hottest function on
 // wide schemas. Every Mix step is a bijection of the state for a fixed
 // word (odd multiplier, xorshift) and of the word for a fixed state, so
 // two equal-length lists that differ only in their last word never

@@ -64,8 +64,11 @@ TEST(DurableCodecTest, DecoderRefusesTruncation) {
   EXPECT_FALSE(in.GetU64(&v));
   std::string bytes;
   // Length prefix claims 16 bytes but only 3 follow (explicit-length view:
-  // the encoding contains NUL bytes).
-  Decoder in2(std::string_view("\x10\x00\x00\x00abc", 7));
+  // the encoding contains NUL bytes; the literal is split so that "abc" is
+  // not read as part of the last hex escape).
+  static constexpr char kTruncated[] = "\x10\x00\x00\x00" "abc";
+  static_assert(sizeof(kTruncated) == 8);
+  Decoder in2(std::string_view(kTruncated, 7));
   EXPECT_FALSE(in2.GetBytes(&bytes));
 }
 

@@ -68,10 +68,8 @@ TEST(CachingTransparencyTest, SameResultFewerUserQuestions) {
 
   QueryOracle user2(target);
   CountingOracle counted(&user2);
-  QuestionLog log;
-  CachingOracle cache(&counted, &log);
-  TranscriptOracle transcript(&cache, &log);
-  Query with_cache = LearnRolePreserving(6, &transcript).query;
+  QuestionStore store(&counted);
+  Query with_cache = LearnRolePreserving(6, &store).query;
 
   EXPECT_TRUE(Equivalent(without_cache, with_cache));
   EXPECT_LE(counted.stats().questions, raw.stats().questions);
@@ -84,8 +82,7 @@ TEST(DataPlayPipelineTest, ChocolateEndToEnd) {
   Query intended = IntroChocolateQuery();
   BooleanBinding binding(ChocolateSchema(), ChocolatePropositions());
   DataDomainOracle data_user(intended, &binding);
-  QuestionLog log;
-  TranscriptOracle history(&data_user, &log);
+  QuestionStore history(&data_user);
 
   RpLearnerResult learned = LearnRolePreserving(3, &history);
   EXPECT_TRUE(Equivalent(learned.query, intended))

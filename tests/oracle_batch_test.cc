@@ -3,18 +3,15 @@
 // IsAnswerBatch's contract is question-for-question equivalence with the
 // sequential IsAnswer loop. The harness runs the identical learner /
 // verifier / probe-stream twice against the identical oracle stack
-// (transcript → cache → counting → base): once with batches flowing
-// through every override, once with a SequentialOracle adapter decomposing
-// each batch into single questions above the transcript, so every layer
-// runs its single-question path. (It cannot sit between the transcript
-// and the cache: the cache finds its questions at the tail of the
-// transcript's log, so every stage between them must forward a contiguous
-// tail of the round.) Everything
-// observable must be bit-identical — the learned query, every
-// (question, response) transcript pair in order, the question/tuple/answer
-// statistics at the user boundary, and the cache's hit/miss tallies — for
-// every oracle type: QueryOracle in both guarantee modes, CachingOracle,
-// CountingOracle, NoisyOracle with a fixed seed, and AdversaryOracle.
+// (question store → counting → base): once with batches flowing through
+// every override, once with a SequentialOracle adapter decomposing each
+// batch into single questions above the store, so every layer runs its
+// single-question path. Everything observable must be bit-identical — the
+// learned query, every (question, response) history pair in order, the
+// question/tuple/answer statistics at the user boundary, and the store's
+// hit/miss tallies — for every oracle type: QueryOracle in both guarantee
+// modes, QuestionStore, CountingOracle, NoisyOracle with a fixed seed, and
+// AdversaryOracle.
 // The suite sweeps ≥200 seeded random queries at n ∈ {3, 8, 16, 64}.
 
 #include <gtest/gtest.h>
@@ -55,20 +52,18 @@ RunRecord RunStack(const BaseFactory& make_base, const Workload& drive,
                    bool force_sequential) {
   std::unique_ptr<MembershipOracle> base = make_base();
   CountingOracle counting(base.get());
-  QuestionLog log;
-  CachingOracle caching(&counting, &log);
-  TranscriptOracle transcript(&caching, &log);
-  SequentialOracle sequential(&transcript);
+  QuestionStore store(&counting);
+  SequentialOracle sequential(&store);
   RunRecord record;
   record.payload =
       drive(force_sequential ? static_cast<MembershipOracle*>(&sequential)
-                             : &transcript);
-  for (const TranscriptEntry& e : transcript.entries()) {
+                             : &store);
+  for (const TranscriptEntry& e : store.entries()) {
     record.transcript.emplace_back(e.question, e.response);
   }
   record.stats = counting.stats();
-  record.cache_hits = caching.hits();
-  record.cache_misses = caching.misses();
+  record.cache_hits = store.hits();
+  record.cache_misses = store.misses();
   return record;
 }
 
@@ -429,20 +424,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 RunRecord RunPipelineStack(MembershipOracle* backend, const Workload& drive,
                            bool force_sequential) {
-  QuestionLog log;
   OraclePipeline pipeline(backend);
   CountingOracle* counting = pipeline.Push<CountingOracle>();
-  CachingOracle* caching = pipeline.Push<CachingOracle>(&log);
-  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>(&log);
+  QuestionStore* store = pipeline.Push<QuestionStore>();
   if (force_sequential) pipeline.Push<SequentialOracle>();
   RunRecord record;
   record.payload = drive(pipeline.top());
-  for (const TranscriptEntry& e : transcript->entries()) {
+  for (const TranscriptEntry& e : store->entries()) {
     record.transcript.emplace_back(e.question, e.response);
   }
   record.stats = counting->stats();
-  record.cache_hits = caching->hits();
-  record.cache_misses = caching->misses();
+  record.cache_hits = store->hits();
+  record.cache_misses = store->misses();
   return record;
 }
 
@@ -566,8 +559,7 @@ TEST(ReplayBatchTest, BatchSpanningPrefixBoundaryMatchesSequential) {
   QueryOracle truth(target);
 
   // Record a transcript of five questions.
-  QuestionLog log;
-  TranscriptOracle recorder(&truth, &log);
+  QuestionStore recorder(&truth);
   Rng rng(5);
   std::vector<TupleSet> asked;
   for (int i = 0; i < 5; ++i) {
@@ -616,19 +608,17 @@ TEST(ReplayBatchTest, BatchSpanningPrefixBoundaryMatchesSequential) {
 TEST(EmptyRoundTest, EmptyBatchIsANoOpThroughTheWholeStack) {
   Query target = Query::Parse("∀x1→x2 ∃x3", 3);
   QueryOracle truth(target);
-  QuestionLog log;
   OraclePipeline pipeline(&truth);
   NoisyOracle* noisy = pipeline.Push<NoisyOracle>(0.5, /*seed=*/7);
   CountingOracle* counting = pipeline.Push<CountingOracle>();
-  CachingOracle* caching = pipeline.Push<CachingOracle>(&log);
-  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>(&log);
+  QuestionStore* store = pipeline.Push<QuestionStore>();
 
   BitVec bits;
   pipeline.top()->IsAnswerBatch({}, bits.Prepare(0));
-  EXPECT_EQ(transcript->rounds(), 0);
-  EXPECT_TRUE(transcript->entries().empty());
-  EXPECT_EQ(caching->hits(), 0);
-  EXPECT_EQ(caching->misses(), 0);
+  EXPECT_EQ(store->rounds(), 0);
+  EXPECT_TRUE(store->entries().empty());
+  EXPECT_EQ(store->hits(), 0);
+  EXPECT_EQ(store->misses(), 0);
   EXPECT_EQ(counting->stats().rounds, 0);
   EXPECT_EQ(counting->stats().questions, 0);
   EXPECT_EQ(counting->stats().batched_questions, 0);
@@ -643,10 +633,10 @@ TEST(EmptyRoundTest, EmptyBatchIsANoOpThroughTheWholeStack) {
   pipeline.top()->IsAnswerBatch({}, bits.Prepare(0));
   std::vector<TupleSet> round2 = {RandomObject(3, rng, 3)};
   pipeline.top()->IsAnswerBatch(round2, bits.Prepare(1));
-  EXPECT_EQ(transcript->rounds(), 2);
-  ASSERT_EQ(transcript->entries().size(), 2u);
-  EXPECT_EQ(transcript->entries()[0].round, 0);
-  EXPECT_EQ(transcript->entries()[1].round, 1);
+  EXPECT_EQ(store->rounds(), 2);
+  ASSERT_EQ(store->entries().size(), 2u);
+  EXPECT_EQ(store->entries()[0].round, 0);
+  EXPECT_EQ(store->entries()[1].round, 1);
   EXPECT_EQ(counting->stats().rounds, 2);
 }
 
@@ -661,8 +651,7 @@ TEST(EmptyRoundTest, AdversaryAndReplayIgnoreEmptyRounds) {
       << "no questions were asked, so the version space is untouched";
 
   QueryOracle truth(Query::Parse("∀x1→x2", 2));
-  QuestionLog log;
-  TranscriptOracle recorder(&truth, &log);
+  QuestionStore recorder(&truth);
   Rng rng(5);
   TupleSet asked = RandomObject(2, rng, 2);
   recorder.IsAnswer(asked);
@@ -676,11 +665,10 @@ TEST(EmptyRoundTest, AdversaryAndReplayIgnoreEmptyRounds) {
 }
 
 // ---------------------------------------------------------------------------
-// CachingOracle forwarding: when a round's misses form one contiguous run,
+// QuestionStore forwarding: when a round's misses form one contiguous run,
 // the inner oracle must receive a *view into the caller's span* — the
 // copy-free regression pin for wide cached rounds. An inner probe records
-// the span's data pointer to prove no TupleSet was gathered. The cache is
-// asked through its transcript, which forwards the caller's span as is.
+// the span's data pointer to prove no TupleSet was gathered.
 
 class SpanSpyOracle : public MembershipOracle {
  public:
@@ -709,9 +697,7 @@ class SpanSpyOracle : public MembershipOracle {
 TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
   Query target = Query::Parse("∀x1x2→x3 ∃x4", 8);
   SpanSpyOracle spy(target);
-  QuestionLog log;
-  CachingOracle caching(&spy, &log);
-  TranscriptOracle transcript(&caching, &log);
+  QuestionStore store(&spy);
   // Provably distinct questions: each holds the single tuple whose packed
   // value is its index (n = 8 leaves room for 256 of them).
   auto distinct = [](uint64_t from, uint64_t count) {
@@ -727,11 +713,11 @@ TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
 
   // All-miss wide round: the inner span must alias the caller's storage.
   BitVec bits;
-  transcript.IsAnswerBatch(fresh, bits.Prepare(fresh.size()));
+  store.IsAnswerBatch(fresh, bits.Prepare(fresh.size()));
   EXPECT_EQ(spy.last_data(), fresh.data())
       << "an all-fresh round must forward questions.subspan(...), not a copy";
   EXPECT_EQ(spy.last_size(), fresh.size());
-  EXPECT_EQ(caching.misses(), 64);
+  EXPECT_EQ(store.misses(), 64);
 
   // Hits at the edges keep the run contiguous: [cached, new…, cached]
   // forwards the middle of the caller's span, again by view.
@@ -739,10 +725,10 @@ TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
   edged.push_back(fresh.front());  // hit
   for (TupleSet& q : distinct(64, 8)) edged.push_back(std::move(q));
   edged.push_back(fresh.back());  // hit
-  transcript.IsAnswerBatch(edged, bits.Prepare(edged.size()));
+  store.IsAnswerBatch(edged, bits.Prepare(edged.size()));
   EXPECT_EQ(spy.last_data(), edged.data() + 1);
   EXPECT_EQ(spy.last_size(), 8u);
-  EXPECT_EQ(caching.hits(), 2);
+  EXPECT_EQ(store.hits(), 2);
 
   // A hit *between* misses breaks contiguity: the gather fallback fires
   // (inner sees its own storage) but the answers must still be exact.
@@ -750,7 +736,7 @@ TEST(CachingForwardTest, ContiguousMissesForwardTheCallersSpanByView) {
   mixed.push_back(distinct(80, 1)[0]);
   mixed.push_back(fresh[3]);  // hit in the middle
   mixed.push_back(distinct(81, 1)[0]);
-  transcript.IsAnswerBatch(mixed, bits.Prepare(mixed.size()));
+  store.IsAnswerBatch(mixed, bits.Prepare(mixed.size()));
   EXPECT_NE(spy.last_data(), mixed.data());
   EXPECT_EQ(spy.last_size(), 2u);
   QueryOracle reference(target);

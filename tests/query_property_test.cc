@@ -163,14 +163,12 @@ TEST_P(QueryPropertyTest, CachingOracleBatchForwardsOnlyUniqueMisses) {
   Query q = RandomQuery(rng, n);
   QueryOracle base(q);
   CountingOracle counting(&base);
-  QuestionLog log;
-  CachingOracle caching(&counting, &log);
-  TranscriptOracle transcript(&caching, &log);
+  QuestionStore store(&counting);
 
   // Warm the cache with a few sequential questions.
   std::vector<TupleSet> warm;
   for (int i = 0; i < 4; ++i) warm.push_back(RandomObject(n, rng, 4));
-  for (const TupleSet& w : warm) transcript.IsAnswer(w);
+  for (const TupleSet& w : warm) store.IsAnswer(w);
 
   // A batch mixing fresh questions, in-batch duplicates and re-asks of the
   // warm-up questions.
@@ -201,7 +199,7 @@ TEST_P(QueryPropertyTest, CachingOracleBatchForwardsOnlyUniqueMisses) {
   int64_t inner_before = counting.stats().questions;
   int64_t rounds_before = counting.stats().rounds;
   BitVec answers;
-  transcript.IsAnswerBatch(batch, answers.Prepare(batch.size()));
+  store.IsAnswerBatch(batch, answers.Prepare(batch.size()));
 
   EXPECT_EQ(counting.stats().questions - inner_before, expected_misses)
       << "the wrapped oracle must see each unseen question exactly once";
@@ -213,7 +211,7 @@ TEST_P(QueryPropertyTest, CachingOracleBatchForwardsOnlyUniqueMisses) {
   }
   // Re-asking the whole batch forwards nothing.
   int64_t inner_after = counting.stats().questions;
-  transcript.IsAnswerBatch(batch, answers.Prepare(batch.size()));
+  store.IsAnswerBatch(batch, answers.Prepare(batch.size()));
   EXPECT_EQ(counting.stats().questions, inner_after);
 }
 

@@ -24,12 +24,17 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/core/normalize.h"
 #include "src/oracle/oracle.h"
+#include "src/oracle/pending.h"
+#include "src/session/router.h"
 #include "src/session/session.h"
+#include "src/util/bit_span.h"
 #include "src/workload/fingerprint.h"
 #include "src/workload/workload.h"
 
@@ -83,11 +88,32 @@ struct FlipOnceOracle : MembershipOracle {
   explicit FlipOnceOracle(MembershipOracle* truth) : truth(truth) {}
   bool IsAnswer(const TupleSet& q) override {
     bool v = truth->IsAnswer(q);
+    seen.push_back(q);
     return ++asked == kFlipAt ? !v : v;
   }
   MembershipOracle* truth;
   int64_t asked = 0;
+  std::vector<TupleSet> seen;  // every question that reached the user
 };
+
+QuerySession::Options SessionOptions(const PinCase& c) {
+  QuerySession::Options options;
+  options.learner.existential.speculative_batching = c.speculative;
+  options.learner.universal.speculative_batching = c.speculative;
+  return options;
+}
+
+// The first history entry whose answer is wrong: the first asking of the
+// question the user answered wrongly.
+size_t FirstWrongEntry(const QuerySession& session, MembershipOracle& truth) {
+  std::vector<TranscriptEntry> entries = session.history();
+  size_t wrong = 0;
+  while (wrong < entries.size() &&
+         entries[wrong].response == truth.IsAnswer(entries[wrong].question)) {
+    ++wrong;
+  }
+  return wrong;
+}
 
 // The history part of SessionFingerprint: every entry, without the counts.
 std::string HistoryText(const QuerySession& session) {
@@ -111,15 +137,9 @@ std::string RunFlow(const PinCase& c, const SessionSpec& s,
     case Flow::kCorrectAndRelearn: {
       session.Learn();
       std::string before = SessionFingerprint(session);
-      std::vector<TranscriptEntry> entries = session.history();
-      size_t wrong = 0;
-      while (wrong < entries.size() &&
-             entries[wrong].response ==
-                 truth.IsAnswer(entries[wrong].question)) {
-        ++wrong;
-      }
-      EXPECT_LT(wrong, entries.size()) << "no answer was flipped";
-      if (wrong == entries.size()) return before;
+      const size_t wrong = FirstWrongEntry(session, truth);
+      EXPECT_LT(wrong, session.history().size()) << "no answer was flipped";
+      if (wrong == session.history().size()) return before;
       *history = HistoryText(session);
       session.CorrectAndRelearn(wrong);
       const std::string corrected = "corrected " + std::to_string(wrong) + "\n";
@@ -169,10 +189,7 @@ void ExpectPinned(const PinCase& c) {
     FlipOnceOracle flipping(&truth);
     MembershipOracle* user = &truth;
     if (c.flow == Flow::kCorrectAndRelearn) user = &flipping;
-    QuerySession::Options options;
-    options.learner.existential.speculative_batching = c.speculative;
-    options.learner.universal.speculative_batching = c.speculative;
-    QuerySession session(s.n, user, options);
+    QuerySession session(s.n, user, SessionOptions(c));
     std::string history;
     const uint64_t digest =
         DigestBytes(RunFlow(c, s, session, truth, &history));
@@ -214,19 +231,110 @@ TEST(QuestionStreamPinTest, RpUniversalTargetsAskTheRecordedQuestions) {
                 {0x224656260e98f9a8, 0x09039b1de43eb98a, 0x036ddec1b8b5ce8a}});
 }
 
+// The pinned correction sessions: a user who answers the kFlipAt-th
+// question wrongly, then the correction of that answer. The history
+// digests were recorded before the session and the router shared one
+// correction path, and have not moved since; the full digests were
+// re-recorded then, because the counts of a correction changed (the
+// replayed prefix is counted where it reaches the user, as the router
+// counts it).
+std::vector<PinCase> CorrectionCases() {
+  return {
+      {QueryClass::kQhorn1, 24, 41, false,
+       {0x35a8d75c0ef94e56, 0xd0b837b0cc4fb3f0, 0x6531dcaf8ee95f5f},
+       Flow::kCorrectAndRelearn,
+       {0xb3f569f0a05ceab2, 0x47c787425ec28408, 0xcc42cbd341bf0794}},
+      {QueryClass::kRpExistential, 24, 42, false,
+       {0x0109395ce0591af2, 0x34730c34f2dedeca, 0xf2d45eba2a6b0738},
+       Flow::kCorrectAndRelearn,
+       {0xcf350adc3c556d99, 0x32d9346576e91fcb, 0x2c2e771732d9d68a}},
+      {QueryClass::kRpUniversal, 24, 45, true,
+       {0x5ef2bb934e5281aa, 0x6150116643dba299, 0xa4ed08cc8c348542},
+       Flow::kCorrectAndRelearn,
+       {0x3c95dc185e06380c, 0x0db66afd6c9d52b9, 0x206080c0c039d003}},
+  };
+}
+
 TEST(QuestionStreamPinTest, CorrectAndRelearnAsksTheRecordedQuestions) {
-  ExpectPinned({QueryClass::kQhorn1, 24, 41, false,
-                {0xcb5a2881a4adf986, 0x92aa1de6a931f9a9, 0x9f12d76b9477b3d5},
-                Flow::kCorrectAndRelearn,
-                {0xb3f569f0a05ceab2, 0x47c787425ec28408, 0xcc42cbd341bf0794}});
-  ExpectPinned({QueryClass::kRpExistential, 24, 42, false,
-                {0xc54d34a541a8c13a, 0xe3e81de129fdc1af, 0x991163db1dcc95ca},
-                Flow::kCorrectAndRelearn,
-                {0xcf350adc3c556d99, 0x32d9346576e91fcb, 0x2c2e771732d9d68a}});
-  ExpectPinned({QueryClass::kRpUniversal, 24, 45, true,
-                {0xed6f7098500e909d, 0xbcb2b05369cf7cd5, 0x0e22c663ba06423b},
-                Flow::kCorrectAndRelearn,
-                {0x3c95dc185e06380c, 0x0db66afd6c9d52b9, 0x206080c0c039d003}});
+  for (const PinCase& c : CorrectionCases()) ExpectPinned(c);
+}
+
+// Runs `s` as a pending router session whose user answers the kFlipAt-th
+// question wrongly; at the first round parked after that answer, the user
+// corrects it with SessionRouter::CorrectAnswer and then answers
+// truthfully to the end. Returns the session's fingerprint.
+std::string RouterCorrection(const PinCase& c, const SessionSpec& s) {
+  SessionRouter::Options options;
+  options.threads = 1;
+  options.session = SessionOptions(c);
+  SessionRouter router(options);
+  QueryOracle truth(s.target);
+  const SessionRouter::SessionId id = router.OpenPending(s.n);
+  router.SubmitLearn(id);
+  int64_t answered = 0;
+  bool corrected = false;
+  for (;;) {
+    router.Drain();
+    std::optional<PendingRound> round = router.pending_round(id);
+    if (!round.has_value()) break;
+    if (!corrected && answered >= kFlipAt) {
+      EXPECT_EQ(router.CorrectAnswer(id, kFlipAt - 1),
+                ProvideOutcome::kResumed);
+      corrected = true;
+      continue;
+    }
+    BitVec bits;
+    BitSpan answers = bits.Prepare(round->questions.size());
+    truth.IsAnswerBatch(round->questions, answers);
+    for (size_t i = 0; i < round->questions.size(); ++i) {
+      if (++answered == kFlipAt) answers.Set(i, !answers.Get(i));
+    }
+    EXPECT_EQ(router.ProvideAnswers(id, round->round_id, answers),
+              ProvideOutcome::kResumed);
+  }
+  EXPECT_TRUE(corrected) << "the session finished before the correction";
+  EXPECT_EQ(router.stats().corrections, 1);
+  return SessionFingerprint(router.session(id));
+}
+
+// The session and the router correct one way: QuerySession::
+// CorrectAndRelearn(history index) after a finished learn, and
+// SessionRouter::CorrectAnswer(user-answer index) on a parked session,
+// given the same wrong answer, leave the same fingerprint — history,
+// rounds, questions asked and store hits. The session's relearn asks the
+// user nothing from the kept prefix again.
+TEST(CorrectionDifferentialTest, SessionAndRouterCorrectionsAgree) {
+  for (const PinCase& c : CorrectionCases()) {
+    SCOPED_TRACE(std::string(ToString(c.query_class)) + " seed=" +
+                 std::to_string(c.seed));
+    std::vector<SessionSpec> targets = Targets(c);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      SCOPED_TRACE("session " + std::to_string(i));
+      const SessionSpec& s = targets[i];
+      QueryOracle truth(s.target);
+      FlipOnceOracle user(&truth);
+      QuerySession session(s.n, &user, SessionOptions(c));
+      session.Learn();
+      const size_t wrong = FirstWrongEntry(session, truth);
+      ASSERT_LT(wrong, session.history().size());
+      const size_t asked_before = user.seen.size();
+      session.CorrectAndRelearn(wrong);
+      EXPECT_TRUE(Equivalent(*session.current_query(), s.target));
+      // The prefix is counted where it reaches the user boundary.
+      EXPECT_EQ(session.user_questions_replayed(), kFlipAt);
+      EXPECT_EQ(session.questions_asked(),
+                kFlipAt + static_cast<int64_t>(user.seen.size() -
+                                               asked_before));
+      std::set<std::vector<Tuple>> kept;
+      for (int64_t k = 0; k < kFlipAt; ++k) kept.insert(user.seen[k].tuples());
+      for (size_t k = asked_before; k < user.seen.size(); ++k) {
+        EXPECT_FALSE(kept.contains(user.seen[k].tuples()))
+            << "the relearn asked kept-prefix question "
+            << user.seen[k].ToString(s.n) << " again";
+      }
+      EXPECT_EQ(SessionFingerprint(session), RouterCorrection(c, s));
+    }
+  }
 }
 
 TEST(QuestionStreamPinTest, VerifyThenReviseAsksTheRecordedQuestions) {

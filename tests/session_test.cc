@@ -52,20 +52,18 @@ TEST(SessionTest, ReviseConvergesFromACloseGuess) {
 TEST(SessionTest, CachingReducesUserQuestions) {
   Query intended = Query::Parse("∀x1x2→x5 ∀x3x4→x5 ∃x1x2x3", 5);
   QueryOracle user1(intended);
-  QuerySession::Options cached;
-  cached.cache_questions = true;
-  QuerySession with_cache(5, &user1, cached);
-  with_cache.Learn();
+  QuerySession with_store(5, &user1);
+  with_store.Learn();
 
+  // Without the session's question store: the learner over a bare counter.
   QueryOracle user2(intended);
-  QuerySession::Options uncached;
-  uncached.cache_questions = false;
-  QuerySession without_cache(5, &user2, uncached);
-  without_cache.Learn();
+  CountingOracle without_store(&user2);
+  Query learned = LearnRolePreserving(5, &without_store).query;
 
-  EXPECT_LE(with_cache.questions_asked(), without_cache.questions_asked());
-  EXPECT_TRUE(Equivalent(*with_cache.current_query(),
-                         *without_cache.current_query()));
+  EXPECT_LT(with_store.questions_asked(), without_store.stats().questions);
+  EXPECT_EQ(with_store.questions_asked() + with_store.cache_hits(),
+            without_store.stats().questions);
+  EXPECT_TRUE(Equivalent(*with_store.current_query(), learned));
 }
 
 TEST(SessionTest, CorrectAndRelearnRecovers) {
