@@ -4,9 +4,8 @@
 // user-facing oracle: a question store (the full response history, and
 // never asking the same object twice), question counting, correction by
 // replay at the user boundary (§5), learning (§3), verification (§4) and
-// revision (§6). The embedding
-// UI implements MembershipOracle (pose the object to the user, return
-// their label); everything else is this class.
+// revision (§6). The embedding UI implements MembershipOracle (pose the
+// object to the user, return their label); everything else is this class.
 
 #ifndef QHORN_SESSION_SESSION_H_
 #define QHORN_SESSION_SESSION_H_

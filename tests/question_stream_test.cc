@@ -9,9 +9,10 @@
 //
 // Besides plain learning, two session flows are pinned because they run
 // the other stage shapes of the session's oracle stack: a §5 correction
-// (the relearn runs with a replay stage between the transcript and the
-// cache) and a verify-then-revise session (several phases asking through
-// one transcript and one cache).
+// (the relearn runs with a replay stage at the user boundary) and a
+// verify-then-revise session (several phases asking through one question
+// store). The correction cases also run through the router's correction,
+// which must leave the same fingerprint.
 //
 // The digest is FNV-1a over the fingerprint's bytes, written out here on
 // purpose: it must not move when the library's own hashing does.
