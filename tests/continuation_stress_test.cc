@@ -347,13 +347,19 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
 struct CorrectionArm {
   std::vector<std::string> fingerprints;
   int64_t corrections = 0;
+  int64_t recorrected_sessions = 0;  // sessions that corrected twice more
 };
 
 // Drives the plan fleet over pending users on `lanes` lanes. Each session
 // answers one seeded round with one seeded bit flipped and corrects that
 // entry back at its very next suspension; every other round is answered
-// truthfully. The schedule is a pure function of the session's own seed
-// and its own round count, so every arm applies the same corrections.
+// truthfully. When the flipped bit is not the last of its round, the
+// restart's replay serves the round up to it and parks on the rest; about
+// half of those sessions, picked by their seeds, then correct a seeded
+// entry of that replayed head at that park, and correct it back at the
+// next one (the same round again), so they end on the truthful answers
+// too. The schedule is a pure function of the session's own seed and its
+// own round count, so every arm applies the same corrections.
 CorrectionArm RunCorrectionArm(const std::vector<SessionPlan>& plans, int n,
                                int lanes) {
   struct Driver {
@@ -361,10 +367,16 @@ CorrectionArm RunCorrectionArm(const std::vector<SessionPlan>& plans, int n,
     int64_t rounds_answered = 0;
     int64_t flip_round = 0;
     uint64_t flip_pick = 0;
+    bool recorrect = false;
+    uint64_t recorrect_pick = 0;
     size_t entries_answered = 0;
     size_t flipped_entry = 0;
+    size_t round_start = 0;  // the flipped round's first entry …
+    size_t round_end = 0;    // … and one past its last
     bool flipped = false;
     bool corrected = false;
+    int recorrections = 0;
+    size_t recorrected_entry = 0;
   };
   SessionRouter::Options opts;
   opts.threads = lanes;
@@ -377,6 +389,8 @@ CorrectionArm RunCorrectionArm(const std::vector<SessionPlan>& plans, int n,
     drivers[s].truth = std::make_unique<QueryOracle>(plans[s].target);
     drivers[s].flip_round = rng.Range(0, 2);
     drivers[s].flip_pick = rng.Next();
+    drivers[s].recorrect = rng.Chance(0.5);
+    drivers[s].recorrect_pick = rng.Next();
     SessionRouter::SessionId id = router.OpenPending(n);
     index_of[id] = s;
     ids.push_back(id);
@@ -398,6 +412,24 @@ CorrectionArm RunCorrectionArm(const std::vector<SessionPlan>& plans, int n,
         d.corrected = true;
         continue;
       }
+      if (d.corrected && d.recorrect && d.flipped_entry + 1 < d.round_end &&
+          d.recorrections < 2) {
+        // A park the replay began serving: only the round's fresh tail
+        // after the last replayed entry reached the user.
+        const size_t replayed_end = d.recorrections == 0
+                                        ? d.flipped_entry + 1
+                                        : d.recorrected_entry + 1;
+        EXPECT_EQ(round.questions.size(), d.round_end - replayed_end);
+        if (d.recorrections == 0) {
+          d.recorrected_entry =
+              d.round_start +
+              d.recorrect_pick % (d.flipped_entry - d.round_start + 1);
+        }
+        EXPECT_EQ(router.CorrectAnswer(round.session_id, d.recorrected_entry),
+                  ProvideOutcome::kResumed);
+        ++d.recorrections;
+        continue;
+      }
       BitVec bits;
       BitSpan span = bits.Prepare(round.questions.size());
       d.truth->IsAnswerBatch(round.questions, span);
@@ -405,6 +437,8 @@ CorrectionArm RunCorrectionArm(const std::vector<SessionPlan>& plans, int n,
         const size_t bit = d.flip_pick % round.questions.size();
         span.Set(bit, !span.Get(bit));
         d.flipped_entry = d.entries_answered + bit;
+        d.round_start = d.entries_answered;
+        d.round_end = d.entries_answered + round.questions.size();
         d.flipped = true;
       }
       EXPECT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
@@ -418,6 +452,9 @@ CorrectionArm RunCorrectionArm(const std::vector<SessionPlan>& plans, int n,
     EXPECT_EQ(router.status(id), SessionStatus::kIdle);
     arm.fingerprints.push_back(SessionFingerprint(router.session(id)));
   }
+  for (const Driver& d : drivers) {
+    arm.recorrected_sessions += d.recorrections == 2;
+  }
   arm.corrections = router.stats().corrections;
   return arm;
 }
@@ -427,10 +464,12 @@ TEST(ContinuationStressTest, CorrectionsUnderConcurrencyMatchOneLane) {
   // full-prefix replay with a non-empty prefix: it unwinds the parked
   // stack and restarts the session's job log on a fresh fiber. 64 plan
   // sessions on 4 lanes each correct one answered entry at a seeded
-  // point while the others keep resuming around them; per-session
-  // fingerprints must equal a 1-lane run applying the same corrections —
-  // and, since each correction restores the truthful answer, a
-  // synchronous run over a truthful user.
+  // point while the others keep resuming around them, and some correct
+  // twice more at parks their replay began serving, where the corrected
+  // prefix comes partly from the replay stage of whichever lane ran the
+  // restart. Per-session fingerprints must equal a 1-lane run applying
+  // the same corrections — and, since the corrections end on the
+  // truthful answers, a synchronous run over a truthful user.
   constexpr int kSessions = 64;
   constexpr int kLanes = 4;
   const int n = 8;
@@ -445,9 +484,13 @@ TEST(ContinuationStressTest, CorrectionsUnderConcurrencyMatchOneLane) {
 
   CorrectionArm concurrent = RunCorrectionArm(plans, n, kLanes);
   CorrectionArm one_lane = RunCorrectionArm(plans, n, 1);
-  EXPECT_EQ(concurrent.corrections, kSessions)
-      << "every session must reach its correction";
-  EXPECT_EQ(one_lane.corrections, kSessions);
+  EXPECT_EQ(concurrent.corrections,
+            kSessions + 2 * concurrent.recorrected_sessions)
+      << "every session must reach its corrections";
+  EXPECT_EQ(one_lane.corrections, concurrent.corrections);
+  EXPECT_EQ(one_lane.recorrected_sessions, concurrent.recorrected_sessions);
+  EXPECT_GE(concurrent.recorrected_sessions, 8)
+      << "too few sessions corrected at a park their replay began serving";
 
   SessionRouter::Options sync_opts;
   sync_opts.threads = 1;

@@ -597,6 +597,71 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
   EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kSessionClosed);
 }
 
+TEST(ContinuationEdgeTest, CorrectionIndexBoundCountsTheReplayedHead) {
+  // A correction of an entry that is not the last of its round restarts
+  // onto a park whose round the replay began serving: the round's head up
+  // to the corrected entry is answered (replayed), its tail is pending.
+  // The head counts as answered: with A answers counting it, CorrectAnswer
+  // accepts A - 1 and refuses A.
+  Query target = SmallTarget(5, 97);
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  SessionRouter::SessionId id = router.OpenPending(5);
+  router.SubmitLearn(id);
+  size_t answered = 0;
+  size_t round_start = 0;
+  size_t round_size = 0;
+  for (;;) {
+    router.Drain();
+    std::optional<PendingRound> round = router.pending_round(id);
+    ASSERT_TRUE(round.has_value()) << "no round of two or more questions";
+    BitVec bits;
+    BitSpan span = bits.Prepare(round->questions.size());
+    truth.IsAnswerBatch(round->questions, span);
+    if (round->questions.size() >= 2) {
+      round_start = answered;
+      round_size = round->questions.size();
+      span.Set(0, !span.Get(0));  // the round's first entry, not its last
+    }
+    answered += round->questions.size();
+    ASSERT_EQ(router.ProvideAnswers(id, round->round_id, span),
+              ProvideOutcome::kResumed);
+    if (round_size != 0) break;
+  }
+  router.Drain();
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  ASSERT_EQ(router.CorrectAnswer(id, round_start), ProvideOutcome::kResumed);
+  router.Drain();
+  // The mixed park: one replayed question, the rest of the round pending.
+  std::optional<PendingRound> mixed = router.pending_round(id);
+  ASSERT_TRUE(mixed.has_value());
+  EXPECT_EQ(mixed->questions.size(), round_size - 1);
+  const size_t answers = round_start + 1;
+  EXPECT_EQ(router.CorrectAnswer(id, answers),
+            ProvideOutcome::kAnswerCountMismatch);
+  EXPECT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  ASSERT_EQ(router.CorrectAnswer(id, answers - 1), ProvideOutcome::kResumed);
+  router.Drain();
+  // The same park again; correcting the entry back restores the truthful
+  // answers, and the session ends as a truthful synchronous run does.
+  mixed = router.pending_round(id);
+  ASSERT_TRUE(mixed.has_value());
+  EXPECT_EQ(mixed->questions.size(), round_size - 1);
+  ASSERT_EQ(router.CorrectAnswer(id, answers - 1), ProvideOutcome::kResumed);
+  AnswerAllPending(router, {{id, &truth}});
+  EXPECT_EQ(router.stats().corrections, 3);
+
+  SessionRouter sync_router(opts);
+  QueryOracle sync_truth(target);
+  SessionRouter::SessionId sid = sync_router.Open(5, &sync_truth);
+  sync_router.SubmitLearn(sid);
+  sync_router.Drain();
+  EXPECT_EQ(SessionFingerprint(router.session(id)),
+            SessionFingerprint(sync_router.session(sid)));
+}
+
 TEST(ContinuationTest, FiberResumeMatchesSynchronousAndReplaysNothing) {
   // A learn + verify session resumed round by round must end
   // observationally indistinguishable from a synchronous run over the

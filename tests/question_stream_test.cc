@@ -338,6 +338,95 @@ TEST(CorrectionDifferentialTest, SessionAndRouterCorrectionsAgree) {
   }
 }
 
+// Runs `s` as a pending router session on `lanes` lanes through three
+// corrections that land on parks mixing replayed and fresh questions.
+// From the kFlipAt-th user answer on, the user answers the first round of
+// m >= 3 questions (starting at user answer r) with entry e = r + m - 2
+// flipped, so e is not the last of its round, and corrects e at the next
+// park. The restart's replay serves round r's head r..e and parks on its
+// fresh tail; there the user corrects e - 1, inside that head, and at the
+// park after it (the same round again) e - 2, before it. Every other
+// answer is truthful, so the learner ends with one wrong answer, at e - 2.
+// Returns the session's fingerprint.
+std::string RouterMixedRoundCorrections(const PinCase& c, const SessionSpec& s,
+                                        int lanes) {
+  SessionRouter::Options options;
+  options.threads = lanes;
+  options.session = SessionOptions(c);
+  SessionRouter router(options);
+  QueryOracle truth(s.target);
+  const SessionRouter::SessionId id = router.OpenPending(s.n);
+  router.SubmitLearn(id);
+  size_t answered = 0;  // user answers so far, the replayed head included
+  size_t round_end = 0;  // one past the flipped round's last user answer
+  size_t e = 0;
+  int corrections = 0;
+  for (;;) {
+    router.Drain();
+    std::optional<PendingRound> round = router.pending_round(id);
+    if (!round.has_value()) break;
+    if (round_end != 0 && corrections < 3) {
+      if (corrections > 0) {
+        // A mixed park: the replay served the round up to `answered`.
+        EXPECT_EQ(round->questions.size(), round_end - answered);
+        EXPECT_EQ(router.CorrectAnswer(id, answered),
+                  ProvideOutcome::kAnswerCountMismatch);
+      }
+      answered = e - static_cast<size_t>(corrections);
+      EXPECT_EQ(router.CorrectAnswer(id, answered), ProvideOutcome::kResumed);
+      ++answered;
+      ++corrections;
+      continue;
+    }
+    const size_t m = round->questions.size();
+    BitVec bits;
+    BitSpan answers = bits.Prepare(m);
+    truth.IsAnswerBatch(round->questions, answers);
+    if (round_end == 0 && answered >= static_cast<size_t>(kFlipAt) - 1 &&
+        m >= 3) {
+      e = answered + m - 2;
+      round_end = answered + m;
+      answers.Set(m - 2, !answers.Get(m - 2));
+    }
+    answered += m;
+    EXPECT_EQ(router.ProvideAnswers(id, round->round_id, answers),
+              ProvideOutcome::kResumed);
+  }
+  EXPECT_EQ(corrections, 3) << "the session finished before its corrections";
+  EXPECT_EQ(router.stats().corrections, 3);
+  return SessionFingerprint(router.session(id));
+}
+
+// Corrections at parks whose round the restart's replay began serving:
+// one lane and three give the same fingerprint, and both equal the
+// recorded digest. The digests were recorded while the router still kept
+// its own copy of the answered questions, before it read them from the
+// session's question store. A wrong answer can abort a learner, so each
+// case names one generated session that runs through its wrong answers.
+TEST(CorrectionDifferentialTest, MixedRoundCorrectionsMatchAcrossLanes) {
+  struct MixedCase {
+    PinCase c;
+    size_t session;  // index into Targets(c)
+    uint64_t digest;
+  };
+  const std::vector<MixedCase> cases = {
+      {{QueryClass::kRpExistential, 24, 42, false, {}}, 2, 0xa250ec1f3f6f6a7b},
+      {{QueryClass::kRpExistential, 24, 16, false, {}}, 1, 0xb7b4ed4464a80a3e},
+      {{QueryClass::kRpUniversal, 24, 45, true, {}}, 0, 0xea77a40850f2bc6b},
+      {{QueryClass::kRpUniversal, 24, 45, true, {}}, 1, 0xdc30a440ca19e0fb},
+      {{QueryClass::kQhorn1, 24, 41, true, {}}, 0, 0x624f84855a1c51fa},
+  };
+  for (const MixedCase& m : cases) {
+    SCOPED_TRACE(std::string(ToString(m.c.query_class)) +
+                 " seed=" + std::to_string(m.c.seed) +
+                 " session=" + std::to_string(m.session));
+    const SessionSpec s = Targets(m.c).at(m.session);
+    const std::string one_lane = RouterMixedRoundCorrections(m.c, s, 1);
+    EXPECT_EQ(one_lane, RouterMixedRoundCorrections(m.c, s, 3));
+    EXPECT_EQ(Hex(DigestBytes(one_lane)), Hex(m.digest));
+  }
+}
+
 TEST(QuestionStreamPinTest, VerifyThenReviseAsksTheRecordedQuestions) {
   ExpectPinned({QueryClass::kQhorn1, 24, 51, false,
                 {0xb7014a33b6275b88, 0x5b26bc6febb2e09f, 0xe68af31d8338609f},
