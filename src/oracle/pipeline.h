@@ -17,7 +17,8 @@
 // directly above the backend (QuerySession::CorrectAndRelearn):
 //
 //   OraclePipeline fixed(&backend);  // store → counting → replay → backend
-//   fixed.Push<ReplayOracle>(store->CorrectedPrefix(index));
+//   fixed.Push<ReplayOracle>(
+//       store->CorrectedUserPrefix(store->AnswerIndex(index)));
 //   fixed.Push<CountingOracle>();
 //   fixed.Push<QuestionStore>();
 //

@@ -194,22 +194,35 @@ std::vector<TranscriptEntry> QuestionStore::entries() const {
   return out;
 }
 
-std::vector<TranscriptEntry> QuestionStore::CorrectedPrefix(
-    size_t index) const {
+size_t QuestionStore::AnswerIndex(size_t index) const {
   QHORN_CHECK_MSG(index < records_.size(), "no history entry " << index);
   // A question's tuples are stored once, by its first asking, and every
   // record of it points there; a forwarded record's offset and size name
   // its question uniquely (only an empty question has size 0).
-  const Record& wrong = records_[index];
-  std::vector<TranscriptEntry> prefix;
+  const Record& asked = records_[index];
+  size_t answer = 0;
   for (const Record& r : records_) {
     if (!r.forwarded) continue;
-    prefix.push_back(Entry(r));
-    if (r.offset == wrong.offset && r.size == wrong.size) {
-      prefix.back().response = !prefix.back().response;
-      break;
+    if (r.offset == asked.offset && r.size == asked.size) break;
+    ++answer;
+  }
+  return answer;
+}
+
+std::vector<TranscriptEntry> QuestionStore::CorrectedUserPrefix(
+    size_t answer, std::span<const TranscriptEntry> head) const {
+  QHORN_CHECK_MSG(answer < std::max(static_cast<size_t>(misses_), head.size()),
+                  "no user answer " << answer);
+  std::vector<TranscriptEntry> prefix(
+      head.begin(), head.begin() + std::min(head.size(), answer + 1));
+  size_t forwarded = 0;
+  for (const Record& r : records_) {
+    if (prefix.size() > answer) break;
+    if (r.forwarded && forwarded++ == prefix.size()) {
+      prefix.push_back(Entry(r));
     }
   }
+  prefix.back().response = !prefix.back().response;
   return prefix;
 }
 

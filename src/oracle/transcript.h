@@ -8,7 +8,7 @@
 // stage: it records every (question, response) in order, and it answers a
 // question it has seen before from its record, so the user is never asked
 // the same object twice. A correction is a replay at the user boundary:
-// CorrectedPrefix() lists the questions that reached the user up to the
+// CorrectedUserPrefix() lists the questions that reached the user up to the
 // wrong one, with that response flipped, and a ReplayOracle directly above
 // the user serves them verbatim to a fresh store, falling through to the
 // user once the learner's questions diverge from the recording.
@@ -85,12 +85,15 @@ class QuestionStore : public MembershipOracle {
   /// from the store included: O(total tuples) per call.
   std::vector<TranscriptEntry> entries() const;
 
-  /// What a correction of entry `index` replays at the user boundary: the
-  /// first asking of each question in entries 0..index, in order, ending
-  /// at the first asking of entry `index`'s question, whose response is
-  /// flipped. (For a repeat served from the store, the wrong response is
-  /// the one its first asking recorded.)
-  std::vector<TranscriptEntry> CorrectedPrefix(size_t index) const;
+  /// The user answer that first asked entry `index`'s question (a repeat
+  /// served from the store repeats it): the questions forwarded before.
+  size_t AnswerIndex(size_t index) const;
+  /// What a correction of user answer `answer` replays at the user
+  /// boundary: forwarded questions 0..answer, the last one flipped. Those
+  /// below head.size() come from `head`, a replay stage's transcript,
+  /// which runs ahead of the log while a round it began serving is out.
+  std::vector<TranscriptEntry> CorrectedUserPrefix(
+      size_t answer, std::span<const TranscriptEntry> head = {}) const;
 
   /// Oracle rounds recorded so far (single questions and batches alike).
   int64_t rounds() const { return rounds_; }
@@ -172,19 +175,18 @@ class QuestionStore : public MembershipOracle {
 /// without re-asking the user anything they already answered.
 class ReplayOracle : public MembershipOracle {
  public:
-  ReplayOracle(std::vector<TranscriptEntry> transcript,
-               MembershipOracle* fallback)
-      : transcript_(std::move(transcript)), fallback_(fallback) {}
-
-  /// Stage-order constructor (inner first) for OraclePipeline::Push.
+  /// Inner oracle first, as OraclePipeline::Push constructs a stage.
   ReplayOracle(MembershipOracle* fallback,
                std::vector<TranscriptEntry> transcript)
-      : ReplayOracle(std::move(transcript), fallback) {}
+      : transcript_(std::move(transcript)), fallback_(fallback) {}
 
   bool IsAnswer(const TupleSet& question) override;
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
+  const std::vector<TranscriptEntry>& transcript() const {
+    return transcript_;
+  }
   /// Questions served from the recorded transcript.
   int64_t replayed() const { return replayed_; }
   /// Questions that had to go to the fallback oracle (i.e. to the user).

@@ -118,7 +118,6 @@ void SessionRouter::UnwindFiber(SessionState* state) {
   QHORN_CHECK_MSG(state->fiber->finished(),
                   "cancelled fiber parked again instead of unwinding");
   state->fiber.reset();
-  state->fiber_cancel = false;
 }
 
 SessionRouter::Shard* SessionRouter::ShardOf(SessionId id) const {
@@ -136,7 +135,7 @@ SessionRouter::SessionId SessionRouter::AddSession(
     SessionId id, int n, MembershipOracle* user,
     std::unique_ptr<MembershipOracle> owned_backend,
     PendingOracle* pending_backend) {
-  if (id < 0) return 0;
+  if (id < 0 || n < 1 || n > kMaxVars) return 0;
   auto state = std::make_unique<SessionState>();
   state->session = std::make_unique<QuerySession>(n, user, options_.session);
   state->owned_backend = std::move(owned_backend);
@@ -296,7 +295,7 @@ void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
     {
       MutexLock lock(&shard->mutex);
       resume_parked = state->fiber != nullptr;
-      cancel_parked = resume_parked && state->fiber_cancel;
+      cancel_parked = resume_parked && state->correction.has_value();
       if (!resume_parked && state->jobs_completed >= state->job_log.size()) {
         state->running = false;
         return;
@@ -322,15 +321,14 @@ void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
     } else {
       // Fresh attempt. Once a job has completed, the pipeline reflects
       // every completed job and new jobs run on it directly; with none
-      // completed (first run, or a correction restart) it is rebuilt with
-      // the full answered prefix replayed — the only quadratic path, paid
-      // once per correction rather than once per round. The copy runs
-      // outside the shard mutex: answered_entries only mutates in
-      // ProvideAnswers and CorrectAnswer, which require awaiting, and this
-      // runner owns the session until it parks.
+      // completed (first run, or a correction restart) it is rebuilt, with
+      // a correction's prefix replayed — the only quadratic path, paid
+      // once per correction rather than once per round. The session builds
+      // the prefix from its own answers, off the shard mutex: this runner
+      // owns it until it parks, and any parked stack has unwound.
       if (start_job == 0) {
-        std::vector<TranscriptEntry> prefix = state->answered_entries;
-        state->session->ResetWithUserReplay(std::move(prefix));
+        state->session->ResetWithUserReplay(
+            std::exchange(state->correction, std::nullopt));
       }
       state->pending_backend->BeginAttempt(next_round);
       state->fiber_jobs_run = start_job;
@@ -518,19 +516,12 @@ ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
     // shard mutex is what lets the hook append to this session's WAL
     // without cross-shard ordering concerns.
     if (!RunCommitHook(commit)) return ProvideOutcome::kLogWriteFailed;
-    // Accepted: fold the answered round into the user-boundary transcript
-    // and make the session runnable again.
-    // Stage the bits for the parked continuation: the runner hands them
-    // to the suspended wait-site before switching back in.
+    // Accepted: stage the bits for the parked continuation (the runner
+    // hands them to the suspended wait-site before switching back in) and
+    // make the session runnable again.
     state->staged_answers.assign(answers.size(), false);
     for (size_t i = 0; i < answers.size(); ++i) {
       state->staged_answers[i] = answers.Get(i);
-    }
-    // The questions are shared with every polled copy of the round, so
-    // the transcript takes its own copy of each.
-    for (size_t i = 0; i < round.questions.size(); ++i) {
-      state->answered_entries.push_back(
-          TranscriptEntry{round.questions[i], answers.Get(i), round.round_id});
     }
     ++state->answered_rounds;
     shard->Unpark(state);
@@ -553,31 +544,20 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     if (!state->pending_round.has_value()) {
       return ProvideOutcome::kNotAwaiting;
     }
-    if (entry_index >= state->answered_entries.size()) {
+    // No runner owns a parked session: its O(1) answer count is safe here.
+    if (entry_index >= state->session->user_answers()) {
       return ProvideOutcome::kAnswerCountMismatch;
     }
-    // Flip the recorded answer and discard everything after it: the later
-    // entries answered a question stream computed from the bad answer.
-    // The surviving prefix re-aligns on the restart (questions up to the
-    // flipped entry depend only on the unchanged answers before it), so
-    // the user re-answers nothing they already answered correctly.
-    state->answered_entries[entry_index].response =
-        !state->answered_entries[entry_index].response;
-    state->answered_entries.resize(entry_index + 1);
-    // The parked stack and job cursor describe a run over the old answers;
-    // restart the whole job log (a full-prefix replay attempt). The
-    // abandoned round's id is retired — answered_rounds advances past it —
-    // so the restarted session's next round gets a fresh id and a stale
-    // ProvideAnswers against the abandoned round reports kStaleRound,
-    // never folds old answers into the new question stream.
+    // The runner unwinds the stack parked over the old answer (learner
+    // destructors run) and builds the prefix, off this lock. The answers it
+    // keeps re-align: their questions depend only on answers before the flip.
+    state->correction = entry_index;
+    // Restart the whole job log. The abandoned round's id is retired, so
+    // the restarted session's next round gets a fresh id and a stale
+    // ProvideAnswers against the abandoned round reports kStaleRound.
     ++state->answered_rounds;
     state->snapshot_bytes = 0;
     state->jobs_completed = 0;
-    // A parked continuation was built over the old answer; mark it for the
-    // runner to unwind before the restart attempt (the unwind runs learner
-    // destructors, so it happens on a lane, never under this lock).
-    state->fiber_cancel = state->fiber != nullptr;
-    state->staged_answers.clear();
     shard->Unpark(state);
     shard->runnable_jobs += static_cast<int64_t>(state->job_log.size());
     state->running = true;

@@ -46,28 +46,25 @@
 //
 // Pending-round continuations (OpenPending): a *real* user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
-// lane. Sessions opened with OpenPending run over a PendingOracle backend
-// and their jobs run on a Fiber (src/util/fiber.h): the first round that
-// needs the user records a PendingRound and *parks* — the whole call stack
-// stays alive on its own mmap'd stack and the lane is released by a
-// context switch, so 256 sessions all blocked on users occupy zero
-// threads. The embedding server polls PendingRounds() (or renders them as
-// they appear), collects the user's labels, and calls
-// ProvideAnswers(id, round_id, answers); the router stages the answered
-// round's bits and switches back into the exact frame that asked: O(1)
-// compute per resume, O(rounds) per session, nothing re-run and nothing
-// replayed. The memory traded for that compute is the parked stack,
-// trimmed below the parked frame and reported as the session's
-// snapshot_bytes while it awaits.
+// lane. Its jobs run on a Fiber (src/util/fiber.h) over a PendingOracle
+// backend: a round that needs the user records a PendingRound and *parks*
+// — the call stack stays alive on its own mmap'd stack and the lane is
+// released, so sessions blocked on users occupy no threads. The embedding
+// server polls PendingRounds() and calls ProvideAnswers(id, round_id,
+// answers); the router switches back into the exact frame that asked:
+// O(1) compute per resume, nothing re-run and nothing replayed. The price
+// is the parked stack, trimmed below the parked frame and reported as the
+// session's snapshot_bytes while it awaits.
 //
 // Restarts: a correction (CorrectAnswer) cannot resume a stack built over
-// the old answer, so it unwinds the parked stack (cancel + one last
-// resume) and restarts the job log on a fresh fiber, from a pipeline
-// rebuilt with the corrected prefix replayed at the user boundary
-// (QuerySession::ResetWithUserReplay). Learners are deterministic
-// functions of the transcript, so the restart reaches the next live round
-// without asking anything twice. Crash recovery (DurableRouter) needs no
-// restart path of its own: it re-opens each session and feeds the logged
+// the old answer. It records the answer's index; the lane running the
+// restart unwinds the parked stack (cancel + one last resume) and rebuilds
+// the pipeline with the corrected prefix, taken from the session's own
+// record of its answers, replayed at the user boundary
+// (QuerySession::ResetWithUserReplay). The router keeps no copy of them.
+// Learners are deterministic functions of the transcript, so the restart
+// reaches the next live round without asking anything twice. Crash
+// recovery (DurableRouter) re-opens each session and feeds the logged
 // answers back through ProvideAnswers.
 //
 // Determinism contract (unchanged by continuations and shards): a
@@ -79,11 +76,9 @@
 // (tests/service_router_test.cc, tests/router_shard_test.cc and
 // tests/continuation_stress_test.cc stress this with up to 256 sessions).
 //
-// An embedding server has two ways to plug a real user in: synchronously,
-// by implementing MembershipOracle (pose the round, block for the labels)
-// and passing it to Open(); or asynchronously via OpenPending and the
-// PendingRounds()/ProvideAnswers protocol above — the only choice that
-// scales past one blocked thread per waiting user.
+// A real user plugs in either synchronously, as a MembershipOracle passed
+// to Open() that blocks for the labels, or through OpenPending — the only
+// choice that scales past one blocked thread per waiting user.
 
 #ifndef QHORN_SESSION_ROUTER_H_
 #define QHORN_SESSION_ROUTER_H_
@@ -243,7 +238,8 @@ class SessionRouter {
   SessionRouter& operator=(const SessionRouter&) = delete;
 
   // Opens assign the next id (1, 2, … in open order, from one atomic
-  // counter) and place the session on shard id % shards.
+  // counter) and place the session on shard id % shards. An arity outside
+  // 1..kMaxVars is refused before an id is taken: 0, nothing opened.
 
   /// Opens a session over a caller-owned user oracle. The oracle must
   /// outlive the router and is used only from this session's jobs (one at
@@ -325,29 +321,24 @@ class SessionRouter {
                                 BitSpan answers, CommitHook commit);
 
   /// The §5 correction workflow for pending sessions: the user flips their
-  /// recorded answer to `entry_index` (an index into the session's answered
-  /// user-boundary transcript, in answer order). Only legal while the
-  /// session is awaiting a round (kNotAwaiting otherwise — a running
-  /// session's runner owns its state; an idle session has nothing to
-  /// correct that Close + re-learn would not do better). The answered
-  /// entries after the flipped one are discarded (they were answered to a
-  /// question stream computed from the bad answer), the parked stack is
-  /// unwound, and the job log restarts from job 0 on a fresh fiber: the
-  /// surviving prefix is replayed — those questions depend only on answers
-  /// before the flip, so they re-align question for question — and the
-  /// learner diverges exactly at the corrected entry, re-asking everything
-  /// downstream fresh. The
-  /// abandoned pending round's id is never reused (round ids stay
-  /// monotonic), so a stale ProvideAnswers still reports kStaleRound.
+  /// answer `entry_index`, in answer order (QuerySession::user_answers()).
+  /// Only legal while the session is awaiting a round (kNotAwaiting
+  /// otherwise — a running session's runner owns its state; an idle
+  /// session has nothing to correct that Close + re-learn would not do
+  /// better). The call checks and records the index in O(1). The answers
+  /// after the flipped one are discarded (they were answered to a question
+  /// stream computed from the bad answer), the parked stack is unwound,
+  /// and the job log restarts from job 0 on a fresh fiber: the surviving
+  /// prefix is replayed — those questions depend only on answers before
+  /// the flip, so they re-align question for question — and the learner
+  /// diverges exactly at the corrected entry, re-asking everything
+  /// downstream fresh. The abandoned pending round's id is never reused
+  /// (round ids stay monotonic), so a stale ProvideAnswers still reports
+  /// kStaleRound.
   ///
   /// Out-of-range `entry_index` reports kAnswerCountMismatch. On kResumed
   /// the re-run recounts every re-completed job in ServiceStats.jobs (the
   /// counters count completions, not distinct jobs).
-  ///
-  /// This supersedes the old blanket refusal of mid-suspension corrections
-  /// (QuerySession::CorrectAndRelearn still refuses in continuation mode —
-  /// it relearns synchronously inside the call, which a pending backend
-  /// would immediately suspend out of).
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
   /// Always kFiber; kept for callers that report the resume protocol.
@@ -416,9 +407,9 @@ class SessionRouter {
   // under it too. Only Shard::Park and Shard::Unpark write pending_round
   // and awaiting_slot, so a session is in its shard's awaiting index
   // exactly while it has a pending round.
-  // The resume-state fields (answered_entries, staged_answers, fiber*)
-  // follow an ownership handoff instead: while `running` is true they
-  // belong exclusively to the runner task and are read/written without
+  // The session and its resume-state fields (correction, staged_answers,
+  // fiber*) follow an ownership handoff instead: while `running` is true
+  // they belong exclusively to the runner task and are read/written without
   // the lock — a protocol thread-safety analysis cannot express (TSA has
   // no "guarded by mutex OR owned by the runner"), and a session cannot
   // name its shard's mutex in a QHORN_GUARDED_BY anyway. The per-field
@@ -434,10 +425,7 @@ class SessionRouter {
     std::deque<JobRecord> queue;
     std::vector<JobRecord> job_log;
     size_t jobs_completed = 0;
-    // The user-boundary transcript: every answered round, flattened in
-    // order, replayed below the decorators by a restart attempt. round
-    // field = the pending-protocol round id the entry was answered in.
-    std::vector<TranscriptEntry> answered_entries;
+    // Round ids retired so far: answered rounds, plus one per correction.
     int64_t answered_rounds = 0;
     // Set exactly while the session is suspended on a user round that
     // ProvideAnswers will resume; `awaiting_slot` is then its position in
@@ -448,15 +436,15 @@ class SessionRouter {
     size_t snapshot_bytes = 0;
     // `fiber` is the parked continuation — the suspended job's live call
     // stack. `staged_answers` carries the answered round's bits from
-    // ProvideAnswers to the resuming runner. `fiber_cancel` marks a parked
-    // stack a correction abandoned: the runner unwinds it (cancel + one
-    // last resume) before the restart attempt. `fiber_jobs_run` is the
-    // body's progress cursor — jobs fully run this attempt — read by the
-    // host after each switch back, so all completion bookkeeping stays on
-    // the host side of the switch.
+    // ProvideAnswers to the resuming runner. `correction` carries a
+    // CorrectAnswer's index to the runner, which unwinds the parked stack it
+    // abandoned (cancel + one last resume) and restarts from it.
+    // `fiber_jobs_run` is the body's progress cursor — jobs fully run this
+    // attempt — read by the host after each switch back, so all completion
+    // bookkeeping stays on the host side of the switch.
     std::unique_ptr<Fiber> fiber;
     std::vector<bool> staged_answers;
-    bool fiber_cancel = false;
+    std::optional<size_t> correction;
     size_t fiber_jobs_run = 0;
     int64_t suspensions = 0;
     bool running = false;  // a runner task currently owns this session

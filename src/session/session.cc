@@ -1,5 +1,7 @@
 #include "src/session/session.h"
 
+#include <algorithm>
+
 #include "src/util/check.h"
 
 namespace qhorn {
@@ -11,10 +13,23 @@ QuerySession::QuerySession(int n, MembershipOracle* user, Options options)
     : n_(n), user_(user), options_(options) {
   QHORN_CHECK(user != nullptr);
   QHORN_CHECK(n >= 1 && n <= kMaxVars);
-  BuildPipeline({});
+  BuildPipeline(std::nullopt);
 }
 
-void QuerySession::BuildPipeline(std::vector<TranscriptEntry> user_prefix) {
+std::span<const TranscriptEntry> QuerySession::ReplayHead() const {
+  if (user_replay_ == nullptr) return {};
+  return user_replay_->transcript();
+}
+
+size_t QuerySession::user_answers() const {
+  return std::max(static_cast<size_t>(store_->misses()), ReplayHead().size());
+}
+
+void QuerySession::BuildPipeline(std::optional<size_t> corrected_answer) {
+  std::vector<TranscriptEntry> user_prefix;
+  if (corrected_answer.has_value()) {
+    user_prefix = store_->CorrectedUserPrefix(*corrected_answer, ReplayHead());
+  }
   // The live user-boundary replay stage dies with the old pipeline; bank
   // its served-question count first so user_questions_replayed() stays
   // cumulative across restarts.
@@ -32,9 +47,9 @@ void QuerySession::BuildPipeline(std::vector<TranscriptEntry> user_prefix) {
 }
 
 void QuerySession::ResetWithUserReplay(
-    std::vector<TranscriptEntry> user_prefix) {
+    std::optional<size_t> corrected_answer) {
   continuation_mode_ = true;
-  BuildPipeline(std::move(user_prefix));
+  BuildPipeline(corrected_answer);
 }
 
 const Query& QuerySession::Learn() {
@@ -65,7 +80,7 @@ const Query& QuerySession::CorrectAndRelearn(size_t index) {
   QHORN_CHECK_MSG(!continuation_mode_,
                   "CorrectAndRelearn is not supported on pending-round "
                   "continuation sessions; close the session and re-learn");
-  BuildPipeline(store_->CorrectedPrefix(index));
+  BuildPipeline(store_->AnswerIndex(index));
   return Learn();
 }
 

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/learn/revision.h"
@@ -57,43 +58,39 @@ class QuerySession {
   std::vector<TranscriptEntry> history() const { return store_->entries(); }
 
   /// The §5 workflow: the user flips their answer to history entry
-  /// `index`; learning restarts from that point. (For a repeat the store
-  /// answered, the flipped answer is the one the user gave when the
-  /// question was first asked.) The session takes the questions that
-  /// reached the user up to the flipped one (QuestionStore::
-  /// CorrectedPrefix), rebuilds its stack with them replayed at the user
-  /// boundary (ResetWithUserReplay's shape) and relearns, so the user is
-  /// asked nothing they answered before. This is the restart a
-  /// SessionRouter::CorrectAnswer makes, and it leaves the same history and
-  /// counts.
+  /// `index` (for a repeat the store answered, the answer its first asking
+  /// got: QuestionStore::AnswerIndex), and the session relearns over the
+  /// prefix a SessionRouter::CorrectAnswer restart replays (BuildPipeline),
+  /// so the user is asked nothing they answered before and the session
+  /// ends with the history and counts the router's correction leaves.
   ///
-  /// Not supported on pending-round continuation sessions (aborts with a
-  /// diagnostic): this entry point relearns *synchronously inside the
-  /// call*, so on a pending backend the relearn would immediately suspend
-  /// outside any runner with the session half-rebuilt. The router owns the
-  /// suspend/resume protocol, so mid-suspension corrections go through
-  /// `SessionRouter::CorrectAnswer` instead — it truncates the stored
-  /// answers at the flipped entry and restarts the job log on a fresh
-  /// fiber, which is allowed to suspend. The refusal is an always-on
-  /// QHORN_CHECK evaluated before any session state is touched. (Pinned by
+  /// Not supported on pending-round continuation sessions (an always-on
+  /// QHORN_CHECK, before any state is touched): this relearns
+  /// *synchronously inside the call*, so on a pending backend it would
+  /// suspend outside any runner with the session half-rebuilt. Corrections
+  /// of suspended sessions go through SessionRouter::CorrectAnswer, whose
+  /// restart runs on a fiber that may suspend. (Pinned by
   /// ContinuationEdgeTest.CorrectAndRelearnIsRefusedInContinuationMode.)
   const Query& CorrectAndRelearn(size_t index);
 
   /// Pending-round continuation support (SessionRouter): rebuilds the
-  /// whole middleware chain from scratch with `user_prefix` replayed
-  /// *at the user boundary* — a ReplayOracle directly above the user
-  /// backend, below the store and the counting — and forgets the current
-  /// query.
+  /// whole middleware chain from scratch and forgets the current query.
+  /// With a `corrected_answer`, user answers 0..corrected_answer, the last
+  /// one flipped, are replayed *at the user boundary* (BuildPipeline).
   ///
-  /// This is the restart path of the pending protocol — a session's first
-  /// attempt (empty prefix) and every correction restart
+  /// A pending session's first attempt and every correction restart
   /// (SessionRouter::CorrectAnswer) enter through it: jobs are
   /// deterministic functions of the user's answers, so re-running them
   /// over fresh decorators with the answered rounds replayed reproduces
   /// the exact state a synchronous run would have reached — history,
-  /// question counts and store hits included — without asking the user
-  /// anything twice.
-  void ResetWithUserReplay(std::vector<TranscriptEntry> user_prefix);
+  /// counts and store hits included — without asking the user twice.
+  void ResetWithUserReplay(
+      std::optional<size_t> corrected_answer = std::nullopt);
+
+  /// Answers given at the user boundary, the range of a correction's
+  /// `corrected_answer`: the questions the store forwarded, or the replay
+  /// stage's transcript while a round it began serving is out. O(1).
+  size_t user_answers() const;
 
   /// Cumulative questions served by user-boundary replay stages across
   /// every restart of this session's lifetime: after a correction, the
@@ -125,11 +122,14 @@ class QuerySession {
 
  private:
   /// (Re)builds the middleware chain over the user backend, outermost
-  /// first: store → counting → [replay] → user. A non-empty `user_prefix`
-  /// inserts a ReplayOracle directly above the user (served questions pass
-  /// through every decorator, exactly as when first asked). Forgets the
-  /// current query.
-  void BuildPipeline(std::vector<TranscriptEntry> user_prefix);
+  /// first: store → counting → [replay] → user. A `corrected_answer`
+  /// inserts a ReplayOracle directly above the user serving
+  /// QuestionStore::CorrectedUserPrefix — the one place a corrected prefix
+  /// is built (served questions pass through every decorator, exactly as
+  /// when first asked). Forgets the current query.
+  void BuildPipeline(std::optional<size_t> corrected_answer);
+  /// The live replay stage's transcript; empty without one.
+  std::span<const TranscriptEntry> ReplayHead() const;
 
   int n_;
   MembershipOracle* user_;

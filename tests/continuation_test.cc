@@ -662,6 +662,21 @@ TEST(ContinuationEdgeTest, CorrectionIndexBoundCountsTheReplayedHead) {
             SessionFingerprint(sync_router.session(sid)));
 }
 
+TEST(ContinuationEdgeTest, OpenRefusesAnOutOfRangeArity) {
+  // An arity outside 1..kMaxVars is refused like a taken caller id: 0 is
+  // returned and no id is used up.
+  SessionRouter router;
+  QueryOracle truth(SmallTarget(5, 97));
+  EXPECT_EQ(router.OpenPending(0), 0);
+  EXPECT_EQ(router.OpenPending(kMaxVars + 1), 0);
+  EXPECT_EQ(router.OpenPending(-3, 7), 0);
+  EXPECT_EQ(router.Open(0, &truth), 0);
+  EXPECT_EQ(router.Open(kMaxVars + 1, &truth), 0);
+  EXPECT_EQ(router.OpenPending(5), 1);
+  EXPECT_EQ(router.Open(kMaxVars, &truth), 2);
+  EXPECT_EQ(router.stats().sessions, 2);
+}
+
 TEST(ContinuationTest, FiberResumeMatchesSynchronousAndReplaysNothing) {
   // A learn + verify session resumed round by round must end
   // observationally indistinguishable from a synchronous run over the

@@ -576,7 +576,7 @@ TEST(ReplayBatchTest, BatchSpanningPrefixBoundaryMatchesSequential) {
 
   auto run = [&](bool force_sequential) {
     CountingOracle counting(&truth);
-    ReplayOracle replay(recorder.entries(), &counting);
+    ReplayOracle replay(&counting, recorder.entries());
     SequentialOracle sequential(&replay);
     MembershipOracle* top = force_sequential
                                 ? static_cast<MembershipOracle*>(&sequential)
@@ -655,7 +655,7 @@ TEST(EmptyRoundTest, AdversaryAndReplayIgnoreEmptyRounds) {
   Rng rng(5);
   TupleSet asked = RandomObject(2, rng, 2);
   recorder.IsAnswer(asked);
-  ReplayOracle replay(recorder.entries(), &truth);
+  ReplayOracle replay(&truth, recorder.entries());
   replay.IsAnswerBatch({}, bits.Prepare(0));
   EXPECT_EQ(replay.replayed(), 0);
   EXPECT_EQ(replay.asked(), 0);

@@ -335,7 +335,7 @@ TEST(CachingOracleRollbackTest, CancelledRoundLeavesTheSharedLogAsItWas) {
     std::vector<TranscriptEntry> prefix;
     for (const TupleSet& q : recorded) prefix.push_back({q, SpyOracle::Rule(q)});
     SpyOracle spy;
-    ReplayOracle replay(std::move(prefix), &spy);
+    ReplayOracle replay(&spy, std::move(prefix));
     CountingOracle counting(&replay);
     QuestionStore store(&counting);
     store.IsAnswer(recorded[0]);  // served by the replay

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/core/normalize.h"
 #include "src/learn/rp_learner.h"
 
@@ -33,7 +35,8 @@ TEST(TranscriptTest, CorrectFlipsAndTruncates) {
   transcript.IsAnswer(TupleSet::Parse({"10"}));
   transcript.IsAnswer(TupleSet::Parse({"01"}));
   transcript.IsAnswer(TupleSet::Parse({"11"}));
-  std::vector<TranscriptEntry> prefix = transcript.CorrectedPrefix(1);
+  ASSERT_EQ(transcript.AnswerIndex(1), 1u);
+  std::vector<TranscriptEntry> prefix = transcript.CorrectedUserPrefix(1);
   ASSERT_EQ(prefix.size(), 2u);
   EXPECT_TRUE(prefix[0].response);  // kept
   EXPECT_TRUE(prefix[1].response);  // flipped
@@ -56,22 +59,57 @@ TEST(TranscriptTest, CorrectionOfARepeatFlipsItsFirstAsking) {
   transcript.IsAnswer(b);
   ASSERT_EQ(transcript.hits(), 2);
 
-  std::vector<TranscriptEntry> prefix = transcript.CorrectedPrefix(3);
+  ASSERT_EQ(transcript.AnswerIndex(3), 2u);  // c, after a and b
+  std::vector<TranscriptEntry> prefix = transcript.CorrectedUserPrefix(2);
   ASSERT_EQ(prefix.size(), 3u);
   EXPECT_EQ(prefix[0].question, a);
   EXPECT_EQ(prefix[1].question, b);
   EXPECT_EQ(prefix[2].question, c);
   EXPECT_FALSE(prefix[2].response) << "c is an answer; the flip is missing";
 
-  prefix = transcript.CorrectedPrefix(2);  // the repeat of a
+  ASSERT_EQ(transcript.AnswerIndex(2), 0u);  // the repeat of a
+  prefix = transcript.CorrectedUserPrefix(0);
   ASSERT_EQ(prefix.size(), 1u);
   EXPECT_EQ(prefix[0].question, a);
   EXPECT_FALSE(prefix[0].response);
 
-  prefix = transcript.CorrectedPrefix(4);  // the repeat of b
+  ASSERT_EQ(transcript.AnswerIndex(4), 1u);  // the repeat of b
+  prefix = transcript.CorrectedUserPrefix(1);
   ASSERT_EQ(prefix.size(), 2u);
   EXPECT_EQ(prefix[1].question, b);
   EXPECT_TRUE(prefix[1].response);
+}
+
+// A replay stage's transcript can run ahead of the store's log: the head
+// of a round the replay served is answered, but the store logs the round
+// only when it returns. Answers below the head's length come from it.
+TEST(TranscriptTest, CorrectedPrefixTakesTheReplayedHead) {
+  QueryOracle inner(Query::Parse("∃x1", 2));
+  QuestionStore transcript(&inner);
+  TupleSet a = TupleSet::Parse({"10"});
+  TupleSet b = TupleSet::Parse({"01"});
+  TupleSet c = TupleSet::Parse({"11"});
+  transcript.IsAnswer(a);
+  const std::vector<TranscriptEntry> head = {{a, true, 0}, {b, false, 1},
+                                             {c, true, 1}};
+  std::vector<TranscriptEntry> prefix = transcript.CorrectedUserPrefix(2, head);
+  ASSERT_EQ(prefix.size(), 3u);
+  EXPECT_EQ(prefix[1].question, b);
+  EXPECT_EQ(prefix[2].question, c);
+  EXPECT_FALSE(prefix[2].response) << "the flip is missing";
+  prefix = transcript.CorrectedUserPrefix(1, head);
+  ASSERT_EQ(prefix.size(), 2u);
+  EXPECT_TRUE(prefix[1].response);
+
+  // Past the head, the log's forwarded questions follow it.
+  transcript.IsAnswer(b);
+  transcript.IsAnswer(a);  // a repeat: not an answer of the user's
+  transcript.IsAnswer(c);
+  prefix = transcript.CorrectedUserPrefix(2, std::span(head).first(1));
+  ASSERT_EQ(prefix.size(), 3u);
+  EXPECT_EQ(prefix[1].question, b);
+  EXPECT_EQ(prefix[2].question, c);
+  EXPECT_FALSE(prefix[2].response);
 }
 
 // After a correction the relearn's rounds are numbered afresh: the
@@ -90,10 +128,10 @@ TEST(TranscriptTest, CorrectRewindsTheRoundCounter) {
 
   // Entry 1 is the first question of round 1: its round-mate and the two
   // later rounds are discarded.
-  std::vector<TranscriptEntry> prefix = transcript.CorrectedPrefix(1);
+  std::vector<TranscriptEntry> prefix = transcript.CorrectedUserPrefix(1);
   ASSERT_EQ(prefix.size(), 2u);
   CountingOracle user(&inner);
-  ReplayOracle replay(std::move(prefix), &user);
+  ReplayOracle replay(&user, std::move(prefix));
   QuestionStore relearn(&replay);
   relearn.IsAnswer(TupleSet::Parse({"11"}));
   relearn.IsAnswerBatch(batch, bits.Prepare(2));
@@ -115,7 +153,7 @@ TEST(ReplayTest, ServesPrefixThenFallsThrough) {
       {TupleSet::Parse({"01"}), false},
   };
   CountingOracle counted_truth(&truth);
-  ReplayOracle replay(recorded, &counted_truth);
+  ReplayOracle replay(&counted_truth, recorded);
   EXPECT_TRUE(replay.IsAnswer(TupleSet::Parse({"10"})));
   EXPECT_FALSE(replay.IsAnswer(TupleSet::Parse({"01"})));
   EXPECT_TRUE(replay.IsAnswer(TupleSet::Parse({"11"})));  // beyond prefix
@@ -130,7 +168,7 @@ TEST(ReplayTest, DivergenceStopsReplay) {
       {TupleSet::Parse({"10"}), true},
       {TupleSet::Parse({"01"}), false},
   };
-  ReplayOracle replay(recorded, &truth);
+  ReplayOracle replay(&truth, recorded);
   // First question differs from the recording → all questions go to the
   // fallback, including ones that appear later in the recording.
   EXPECT_TRUE(replay.IsAnswer(TupleSet::Parse({"11"})));
@@ -165,7 +203,7 @@ TEST(ReplayTest, CancelledRoundLeavesTheCursorAsItWas) {
     recorded.push_back({questions[i], truth.IsAnswer(questions[i])});
   }
   CancellingUser user(&truth);
-  ReplayOracle replay(recorded, &user);
+  ReplayOracle replay(&user, recorded);
   // r0, r1, then a fresh question in place of the recorded r2.
   std::vector<TupleSet> round = {questions[0], questions[1], questions[3]};
   BitVec bits;
@@ -218,7 +256,8 @@ TEST(CorrectionWorkflowTest, RelearnAfterCorrection) {
   while (entries[index].response == truth.IsAnswer(entries[index].question)) {
     ++index;
   }
-  std::vector<TranscriptEntry> prefix = history.CorrectedPrefix(index);
+  std::vector<TranscriptEntry> prefix =
+      history.CorrectedUserPrefix(history.AnswerIndex(index));
   ASSERT_EQ(prefix.size(), 3u);
 
   // Pass 2: replay the corrected prefix at the user boundary, below a
@@ -233,7 +272,7 @@ TEST(CorrectionWorkflowTest, RelearnAfterCorrection) {
     }
   } fresh;
   fresh.inner = &truth;
-  ReplayOracle replay(prefix, &fresh);
+  ReplayOracle replay(&fresh, prefix);
   QuestionStore store(&replay);
   RpLearnerResult fixed = LearnRolePreserving(4, &store);
   EXPECT_TRUE(Equivalent(fixed.query, target))
