@@ -662,6 +662,45 @@ TEST(ContinuationEdgeTest, CorrectionIndexBoundCountsTheReplayedHead) {
             SessionFingerprint(sync_router.session(sid)));
 }
 
+TEST(ContinuationEdgeTest, RoundIdsCountRetiredRounds) {
+  // A round's id is the number of rounds the session has retired before
+  // it: answered ones, plus one per abandoned (corrected) round. Polled
+  // rounds carry their own session's id, whatever else is open.
+  Query target = SmallTarget(5, 97);
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  ASSERT_EQ(router.OpenPending(5), 1);
+  SessionRouter::SessionId id = router.OpenPending(5);
+  ASSERT_EQ(id, 2);
+  router.SubmitLearn(id);
+  int64_t expected = 0;
+  for (; expected < 3; ++expected) {
+    router.Drain();
+    std::vector<PendingRound> rounds = router.PendingRounds();
+    ASSERT_EQ(rounds.size(), 1u);
+    EXPECT_EQ(rounds[0].session_id, id);
+    EXPECT_EQ(rounds[0].round_id, expected);
+    BitVec bits;
+    BitSpan span = bits.Prepare(rounds[0].questions.size());
+    truth.IsAnswerBatch(rounds[0].questions, span);
+    if (expected == 0) span.Set(0, !span.Get(0));
+    ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
+              ProvideOutcome::kResumed);
+  }
+  router.Drain();
+  std::optional<PendingRound> abandoned = router.pending_round(id);
+  ASSERT_TRUE(abandoned.has_value());
+  EXPECT_EQ(abandoned->round_id, expected);
+  ASSERT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kResumed);
+  router.Drain();
+  std::optional<PendingRound> next = router.pending_round(id);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->session_id, id);
+  EXPECT_EQ(next->round_id, abandoned->round_id + 1);
+}
+
 TEST(ContinuationEdgeTest, OpenRefusesAnOutOfRangeArity) {
   // An arity outside 1..kMaxVars is refused like a taken caller id: 0 is
   // returned and no id is used up.

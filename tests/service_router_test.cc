@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -162,6 +163,63 @@ TEST(SessionRouterTest, JobsOfOneSessionRunInSubmissionOrder) {
   router.Drain();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(SessionRouterTest, JobSubmittedFromARunningJobRuns) {
+  // A job may Submit to its own session: the session's runner is still
+  // live, so the second job joins the same run instead of a second runner.
+  // Direct and pending sessions alike, inline (1 lane) and on workers.
+  for (bool pending : {false, true}) {
+    for (int lanes : {1, 4}) {
+      SessionRouter::Options opts;
+      opts.threads = lanes;
+      SessionRouter router(opts);
+      SessionRouter::SessionId id =
+          pending ? router.OpenPending(4)
+                  : router.OpenSimulated(Query::Parse("∀x1x2→x4 ∃x3", 4));
+      std::vector<int> order;
+      std::mutex order_mutex;
+      auto record = [&order, &order_mutex](int job) {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        order.push_back(job);
+      };
+      ASSERT_TRUE(router.Submit(id, [&router, id, record](QuerySession&) {
+        record(1);
+        EXPECT_TRUE(
+            router.Submit(id, [record](QuerySession&) { record(2); }));
+      }));
+      router.Drain();
+      EXPECT_EQ(order, (std::vector<int>{1, 2}))
+          << (pending ? "pending" : "direct") << " session, " << lanes
+          << " lanes";
+      EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+      EXPECT_EQ(router.stats().jobs, 2);
+    }
+  }
+}
+
+TEST(SessionRouterTest, ClosedDirectSessionDrainsItsQueuedJobs) {
+  // Close stops new jobs, not queued ones: a direct session closed while
+  // its first job runs still runs the job queued behind it.
+  SessionRouter::Options opts;
+  opts.threads = 2;
+  SessionRouter router(opts);
+  SessionRouter::SessionId id =
+      router.OpenSimulated(Query::Parse("∀x1x2→x4 ∃x3", 4));
+  std::latch release(1);
+  std::atomic<int> ran{0};
+  ASSERT_TRUE(router.Submit(id, [&release, &ran](QuerySession&) {
+    release.wait();
+    ++ran;
+  }));
+  ASSERT_TRUE(router.Submit(id, [&ran](QuerySession&) { ++ran; }));
+  EXPECT_TRUE(router.Close(id));
+  EXPECT_FALSE(router.Submit(id, [&ran](QuerySession&) { ran += 100; }));
+  release.count_down();
+  router.Drain();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+  EXPECT_EQ(router.stats().jobs, 2);
 }
 
 TEST(SessionRouterTest, LearnVerifyReviseAcrossSessions) {
