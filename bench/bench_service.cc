@@ -76,9 +76,9 @@ double RunFleet(int lanes, int sessions, const std::vector<Query>& catalogue,
 }
 
 // The pending-round continuation fleet: the same learn workload, but every
-// session runs over a PendingOracle — each user round suspends the job and
-// yields its lane, and this thread plays all the users through the
-// PendingRounds()/ProvideAnswers protocol. Far more open sessions than
+// session runs over a PendingOracle wait-site — each user round parks the
+// job's fiber and yields its lane, and this thread plays all the users
+// through the PendingRounds()/ProvideAnswers protocol. Far more open sessions than
 // lanes, zero parked threads.
 double RunPendingFleet(int lanes, int sessions,
                        const std::vector<Query>& catalogue,

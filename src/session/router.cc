@@ -88,8 +88,8 @@ SessionRouter::~SessionRouter() {
   Drain();
   // Join the executor before any shard is touched: Drain() returning only
   // proves the last runnable job *completed* — its runner task may still
-  // be between the completion bookkeeping and its final empty-queue
-  // check, touching session state and its shard's mutex and condvar.
+  // be between the completion bookkeeping and its return, touching
+  // session state and its shard's mutex and condvar.
   // ~Executor joins the workers, so after this line no runner code is in
   // flight on any shard.
   executor_.reset();
@@ -113,7 +113,7 @@ SessionRouter::~SessionRouter() {
 }
 
 void SessionRouter::UnwindFiber(SessionState* state) {
-  state->pending_backend->RequestCancel();
+  state->pending_backend->cancel = true;
   state->fiber->Resume();
   QHORN_CHECK_MSG(state->fiber->finished(),
                   "cancelled fiber parked again instead of unwinding");
@@ -162,17 +162,14 @@ SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
 SessionRouter::SessionId SessionRouter::OpenPending(int n, SessionId id) {
   auto backend = std::make_unique<PendingOracle>();
   PendingOracle* pending = backend.get();
-  id = AddSession(id, n, pending, std::move(backend), pending);
-  // Safe after the fact: the caller cannot Submit before OpenPending
-  // returns, so no round can suspend carrying the unset id. A refused open
-  // already destroyed the backend.
-  if (id != 0) pending->set_session_id(id);
-  return id;
+  return AddSession(id, n, pending, std::move(backend), pending);
 }
 
-void SessionRouter::Shard::Park(SessionState* state, PendingRound round) {
+void SessionRouter::Shard::Park(SessionId id, SessionState* state) {
   QHORN_DCHECK(!state->pending_round.has_value());
-  state->pending_round = std::move(round);
+  state->pending_round =
+      PendingRound{id, state->answered_rounds,
+                   std::move(state->pending_backend->questions)};
   state->awaiting_slot = awaiting.size();
   awaiting.push_back(state);
 }
@@ -187,20 +184,24 @@ void SessionRouter::Shard::Unpark(SessionState* state) {
   state->pending_round.reset();
 }
 
-void SessionRouter::Shard::CompleteJob(JobKind kind) {
-  ++jobs_done;
-  switch (kind) {
-    case JobKind::kLearn:
-      ++learns;
-      break;
-    case JobKind::kVerify:
-      ++verifies;
-      break;
-    case JobKind::kRevise:
-      ++revisions;
-      break;
-    case JobKind::kOther:
-      break;
+void SessionRouter::Shard::CompleteJobs(SessionState* state,
+                                        size_t jobs_run) {
+  for (; state->jobs_completed < jobs_run; ++state->jobs_completed) {
+    ++jobs_done;
+    --runnable_jobs;
+    switch (state->job_log[state->jobs_completed].kind) {
+      case JobKind::kLearn:
+        ++learns;
+        break;
+      case JobKind::kVerify:
+        ++verifies;
+        break;
+      case JobKind::kRevise:
+        ++revisions;
+        break;
+      case JobKind::kOther:
+        break;
+    }
   }
 }
 
@@ -213,17 +214,11 @@ bool SessionRouter::SubmitJob(SessionId id, Job job, JobKind kind) {
   Shard* shard = ShardOf(id);
   SessionState* state = nullptr;
   bool start_runner = false;
-  bool pending = false;
   {
     MutexLock lock(&shard->mutex);
     state = shard->Find(id);
     if (state == nullptr || state->closed) return false;
-    pending = state->pending_backend != nullptr;
-    if (pending) {
-      state->job_log.push_back(JobRecord{std::move(job), kind});
-    } else {
-      state->queue.push_back(JobRecord{std::move(job), kind});
-    }
+    state->job_log.push_back(JobRecord{std::move(job), kind});
     // A session blocked on its user cannot progress: the job waits in the
     // log, uncounted, until ProvideAnswers makes it runnable. Only pending
     // sessions ever block.
@@ -236,153 +231,91 @@ bool SessionRouter::SubmitJob(SessionId id, Job job, JobKind kind) {
   // Post outside the lock: at concurrency 1 the executor runs the task
   // inline, and the runner re-acquires the mutex.
   if (start_runner) {
-    if (pending) {
-      executor_->Post(
-          [this, shard, state] { RunPendingSession(shard, state); });
-    } else {
-      executor_->Post([this, shard, state] { RunSession(shard, state); });
-    }
+    executor_->Post([this, shard, id, state] { RunSession(shard, id, state); });
   }
   return true;
 }
 
-void SessionRouter::RunSession(Shard* shard, SessionState* state) {
-  // The runner owns the session until its queue drains; other sessions'
-  // runners proceed in parallel on other lanes.
+void SessionRouter::RunSession(Shard* shard, SessionId id,
+                               SessionState* state) {
+  // One job loop for both kinds of session. It fetches each job under the
+  // shard mutex (the log may grow while it runs) and advances the
+  // runner-owned cursor `jobs_run`. A direct session runs it inline and
+  // never parks. A pending session runs it on a Fiber whose wait-site
+  // parks (switches back here), so a resume re-enters the exact frame that
+  // asked: no rebuild, no replay. Every piece of completion bookkeeping
+  // happens below, on this side of the switch and under the shard mutex.
+  PendingOracle* wait = state->pending_backend;
   for (;;) {
-    JobRecord job;
-    {
-      MutexLock lock(&shard->mutex);
-      if (state->queue.empty()) {
-        state->running = false;
-        return;
+    // Only this runner writes the cursor while it owns the session.
+    const size_t start = state->jobs_completed;
+    state->jobs_run = start;
+    auto run_jobs = [shard, state, start] {
+      for (size_t i = start;; ++i) {
+        JobRecord job;
+        {
+          MutexLock lock(&shard->mutex);
+          if (i >= state->job_log.size()) return;
+          job = state->job_log[i];  // copy: a restart re-runs the log
+        }
+        job.fn(*state->session);
+        state->jobs_run = i + 1;
       }
-      job = std::move(state->queue.front());
-      state->queue.pop_front();
-    }
-    job.fn(*state->session);
-    bool idle = false;
-    bool finished = false;
-    {
-      MutexLock lock(&shard->mutex);
-      shard->CompleteJob(job.kind);
-      // Release ownership in the same critical section that lets Drain
-      // return: a drained router must already report every session idle.
-      if (state->queue.empty()) {
-        state->running = false;
-        finished = true;
-      }
-      idle = --shard->runnable_jobs == 0;
-    }
-    if (idle) shard->idle_cv.NotifyAll();
-    if (finished) return;
-  }
-}
-
-void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
-  // The attempt loop. The job log runs inside a Fiber whose suspension
-  // hook *parks* (switches back here), so a resume re-enters the exact
-  // frame that asked the question — no rebuild, no replay, no re-walk. The
-  // body only fetches jobs and runs them; every piece of completion
-  // bookkeeping happens on this (host) side of the switch, after Resume()
-  // returns, so counters and the running flag change under the shard
-  // mutex.
-  for (;;) {
-    bool resume_parked = false;
-    bool cancel_parked = false;
-    int64_t next_round = 0;
-    size_t start_job = 0;
-    {
-      MutexLock lock(&shard->mutex);
-      resume_parked = state->fiber != nullptr;
-      cancel_parked = resume_parked && state->correction.has_value();
-      if (!resume_parked && state->jobs_completed >= state->job_log.size()) {
-        state->running = false;
-        return;
-      }
-      start_job = state->jobs_completed;
-      next_round = state->answered_rounds;
-    }
-    if (cancel_parked) {
-      // A correction abandoned this parked stack (it was built over the
-      // flipped answer); unwind it and fall through to a fresh attempt
-      // that replays the corrected prefix.
-      UnwindFiber(state);
-      continue;
-    }
-    if (resume_parked) {
-      // O(1) resume: hand the answered round's bits to the parked
-      // wait-site and switch back in. staged_answers was written by
-      // ProvideAnswers under the lock taken above.
-      state->pending_backend->StageResumeAnswers(
-          std::move(state->staged_answers));
-      state->staged_answers.clear();
-      state->fiber->Resume();
-    } else {
+    };
+    if (wait == nullptr) {
+      run_jobs();
+    } else if (state->fiber == nullptr) {
       // Fresh attempt. Once a job has completed, the pipeline reflects
       // every completed job and new jobs run on it directly; with none
       // completed (first run, or a correction restart) it is rebuilt, with
       // a correction's prefix replayed — the only quadratic path, paid
       // once per correction rather than once per round. The session builds
       // the prefix from its own answers, off the shard mutex: this runner
-      // owns it until it parks, and any parked stack has unwound.
-      if (start_job == 0) {
+      // owns it, and any parked stack has unwound.
+      if (start == 0) {
         state->session->ResetWithUserReplay(
             std::exchange(state->correction, std::nullopt));
       }
-      state->pending_backend->BeginAttempt(next_round);
-      state->fiber_jobs_run = start_job;
-      auto fiber = std::make_unique<Fiber>([this, shard, state, start_job] {
+      state->fiber = std::make_unique<Fiber>([wait, run_jobs] {
         try {
-          for (size_t i = start_job;; ++i) {
-            JobRecord job;
-            {
-              MutexLock lock(&shard->mutex);
-              if (i >= state->job_log.size()) return;
-              job = state->job_log[i];  // copy: the log outlives the run
-            }
-            job.fn(*state->session);
-            // Runner-owned cursor, read by the host after the switch back
-            // (same-thread, or ordered through the shard mutex on a lane
-            // handoff).
-            state->fiber_jobs_run = i + 1;
-          }
+          run_jobs();
         } catch (const JobSuspended&) {
           // Cancel unwind (correction, close, shutdown): the learner
-          // frames above are gone; a correction's restart attempt replays
-          // the corrected prefix from scratch.
+          // frames above are gone.
         }
+        wait->fiber = nullptr;  // a round outside an attempt aborts again
       });
-      state->pending_backend->InstallYieldHook(
-          [f = fiber.get()] { f->Yield(); });
-      state->fiber = std::move(fiber);
+      wait->fiber = state->fiber.get();
+      wait->cancel = false;
+      state->fiber->Resume();
+    } else if (state->correction.has_value()) {
+      // A correction abandoned this parked stack (it was built over the
+      // flipped answer). Unwind it; the log, restarted from job 0, then
+      // runs again on a fresh attempt that replays the corrected prefix.
+      UnwindFiber(state);
+    } else {
+      // O(1) resume: ProvideAnswers staged the answered round's bits at
+      // the wait-site under the shard mutex, before posting this runner.
       state->fiber->Resume();
     }
-    const size_t jobs_run = state->fiber_jobs_run;
-    if (state->fiber->finished()) {
-      // The body ran out of jobs (or a racing Submit will re-post). Fold
-      // the completed jobs into the counters; release ownership in the
-      // same critical section that lets Drain return.
+    const size_t jobs_run = state->jobs_run;
+    if (state->fiber == nullptr || state->fiber->finished()) {
+      // The log ran out (or a racing Submit will re-post). Fold the
+      // completed jobs into the counters; release ownership in the same
+      // critical section that lets Drain return.
       state->fiber.reset();
-      state->pending_backend->InstallYieldHook(nullptr);
       bool idle = false;
-      bool done = false;
       {
         MutexLock lock(&shard->mutex);
-        while (state->jobs_completed < jobs_run) {
-          shard->CompleteJob(state->job_log[state->jobs_completed].kind);
-          ++state->jobs_completed;
-          --shard->runnable_jobs;
-        }
-        if (state->jobs_completed >= state->job_log.size()) {
-          state->running = false;
-          done = true;
-          idle = shard->runnable_jobs == 0;
-        }
+        shard->CompleteJobs(state, jobs_run);
+        // Jobs arrived while the loop was finishing, or a correction
+        // restarted the log.
+        if (state->jobs_completed < state->job_log.size()) continue;
+        state->running = false;
+        idle = shard->runnable_jobs == 0;
       }
       if (idle) shard->idle_cv.NotifyAll();
-      if (done) return;
-      continue;  // jobs arrived while the body was finishing
+      return;
     }
     // Parked on a user round: publish it and free the lane. The parked
     // stack is the session's resume state; trim the cold region below the
@@ -396,11 +329,7 @@ void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
       {
         MutexLock lock(&shard->mutex);
         if (!state->closed || unwound) {
-          while (state->jobs_completed < jobs_run) {
-            shard->CompleteJob(state->job_log[state->jobs_completed].kind);
-            ++state->jobs_completed;
-            --shard->runnable_jobs;
-          }
+          shard->CompleteJobs(state, jobs_run);
           ++state->suspensions;
           ++shard->suspensions;
           // Everything this session still owes can no longer progress
@@ -411,7 +340,7 @@ void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
           if (!state->closed) {
             // Published in the same critical section as runnable_jobs's
             // decrement, so Drain-then-poll observes every parked round.
-            shard->Park(state, state->pending_backend->TakePending());
+            shard->Park(id, state);
             state->snapshot_bytes = resident;
           }
           state->running = false;
@@ -424,7 +353,6 @@ void SessionRouter::RunPendingSession(Shard* shard, SessionState* state) {
       // (the unwind rolls session counters back). Safe off-lock: closed
       // sessions reject Submit/ProvideAnswers/CorrectAnswer, so no other
       // runner can be posted.
-      (void)state->pending_backend->TakePending();
       UnwindFiber(state);
     }
     if (idle) shard->idle_cv.NotifyAll();
@@ -516,20 +444,19 @@ ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
     // shard mutex is what lets the hook append to this session's WAL
     // without cross-shard ordering concerns.
     if (!RunCommitHook(commit)) return ProvideOutcome::kLogWriteFailed;
-    // Accepted: stage the bits for the parked continuation (the runner
-    // hands them to the suspended wait-site before switching back in) and
-    // make the session runnable again.
-    state->staged_answers.assign(answers.size(), false);
-    for (size_t i = 0; i < answers.size(); ++i) {
-      state->staged_answers[i] = answers.Get(i);
-    }
+    // Accepted: stage the bits at the parked wait-site and make the
+    // session runnable again. No runner owns a parked session, so the
+    // wait-site is this call's to write until the Post hands it over.
+    std::vector<bool>& staged = state->pending_backend->staged;
+    staged.assign(answers.size(), false);
+    for (size_t i = 0; i < answers.size(); ++i) staged[i] = answers.Get(i);
     ++state->answered_rounds;
     shard->Unpark(state);
     shard->runnable_jobs += static_cast<int64_t>(state->job_log.size() -
                                                  state->jobs_completed);
     state->running = true;
   }
-  executor_->Post([this, shard, state] { RunPendingSession(shard, state); });
+  executor_->Post([this, shard, id, state] { RunSession(shard, id, state); });
   return ProvideOutcome::kResumed;
 }
 
@@ -563,7 +490,7 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     state->running = true;
     ++shard->corrections;
   }
-  executor_->Post([this, shard, state] { RunPendingSession(shard, state); });
+  executor_->Post([this, shard, id, state] { RunSession(shard, id, state); });
   return ProvideOutcome::kResumed;
 }
 
@@ -600,7 +527,7 @@ std::optional<SessionStatus> SessionRouter::status(SessionId id) const {
   const SessionState* state = shard->Find(id);
   if (state == nullptr) return std::nullopt;
   if (state->pending_round.has_value()) return SessionStatus::kAwaitingUser;
-  if (state->running || !state->queue.empty()) return SessionStatus::kRunning;
+  if (state->running) return SessionStatus::kRunning;
   return SessionStatus::kIdle;
 }
 

@@ -44,17 +44,23 @@
 // under exactly one shard mutex (asserted where the hooks run). Id
 // assignment is one atomic counter and takes no lock.
 //
+// One runner: every session keeps the jobs submitted to it in one log, and
+// one runner task (RunSession) runs that log from its completion cursor.
+// A direct session (Open, OpenSimulated) runs the log inline on its lane.
+//
 // Pending-round continuations (OpenPending): a *real* user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
-// lane. Its jobs run on a Fiber (src/util/fiber.h) over a PendingOracle
-// backend: a round that needs the user records a PendingRound and *parks*
-// — the call stack stays alive on its own mmap'd stack and the lane is
-// released, so sessions blocked on users occupy no threads. The embedding
-// server polls PendingRounds() and calls ProvideAnswers(id, round_id,
-// answers); the router switches back into the exact frame that asked:
-// O(1) compute per resume, nothing re-run and nothing replayed. The price
-// is the parked stack, trimmed below the parked frame and reported as the
-// session's snapshot_bytes while it awaits.
+// lane. Its runner runs the same job loop on a Fiber (src/util/fiber.h)
+// over a PendingOracle wait-site: a round that needs the user *parks* —
+// the call stack stays alive on its own mmap'd stack and the lane is
+// released, so sessions blocked on users occupy no threads. The runner
+// then publishes the round (Shard::Park stamps its session and round ids)
+// under the shard mutex. The embedding server polls PendingRounds() and
+// calls ProvideAnswers(id, round_id, answers), which stages the bits at
+// the wait-site; the router switches back into the exact frame that
+// asked: O(1) compute per resume, nothing re-run and nothing replayed. The
+// price is the parked stack, trimmed below the parked frame and reported
+// as the session's snapshot_bytes while it awaits.
 //
 // Restarts: a correction (CorrectAnswer) cannot resume a stack built over
 // the old answer. It records the answer's index; the lane running the
@@ -85,7 +91,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -352,7 +357,7 @@ class SessionRouter {
 
   /// Marks a session closed: subsequent Submit/ProvideAnswers are
   /// rejected. A pending round awaiting answers is abandoned; already
-  /// queued jobs of a direct session still drain. Returns false for an
+  /// submitted jobs of a direct session still drain. Returns false for an
   /// unknown or already-closed id.
   bool Close(SessionId id);
 
@@ -401,31 +406,36 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  // Locking protocol: the queue, job log, the pending round, its
-  // awaiting-index slot and the running/closed flags are guarded by the
-  // mutex of the shard that hosts the session; PendingRounds reads them
-  // under it too. Only Shard::Park and Shard::Unpark write pending_round
-  // and awaiting_slot, so a session is in its shard's awaiting index
-  // exactly while it has a pending round.
-  // The session and its resume-state fields (correction, staged_answers,
-  // fiber*) follow an ownership handoff instead: while `running` is true
-  // they belong exclusively to the runner task and are read/written without
-  // the lock — a protocol thread-safety analysis cannot express (TSA has
-  // no "guarded by mutex OR owned by the runner"), and a session cannot
-  // name its shard's mutex in a QHORN_GUARDED_BY anyway. The per-field
-  // comments say which regime each field is under; the cross-thread edges
-  // are TSan-covered by the continuation stress suites.
+  // Locking protocol: the job log and its completion cursor, the retired
+  // round count, the pending round, its awaiting-index slot and the
+  // running/closed flags are guarded by the mutex of the shard that hosts
+  // the session; PendingRounds reads them under it too. Only Shard::Park
+  // and Shard::Unpark write pending_round and awaiting_slot, so a session
+  // is in its shard's awaiting index exactly while it has a pending round.
+  // The session, the pending backend's wait-site and the runner fields
+  // (fiber, correction, jobs_run) follow an ownership handoff instead:
+  // while `running` is true they belong exclusively to the runner task and
+  // are read/written without the lock; while the session is parked,
+  // ProvideAnswers stages the wait-site's answers under the shard mutex
+  // before it posts the runner. That is a protocol thread-safety analysis
+  // cannot express (TSA has no "guarded by mutex OR owned by the runner"),
+  // and a session cannot name its shard's mutex in a QHORN_GUARDED_BY
+  // anyway. The cross-thread edges are TSan-covered by the continuation
+  // stress suites.
   struct SessionState {
     std::unique_ptr<QuerySession> session;
     std::unique_ptr<MembershipOracle> owned_backend;  // OpenSimulated/Pending
     PendingOracle* pending_backend = nullptr;  // null for direct sessions
-    // Direct sessions consume their queue; pending sessions keep the full
-    // job log (a correction restart re-runs it from the start) plus the
-    // completed count.
-    std::deque<JobRecord> queue;
+    // Every job submitted, in order, and how many have completed. A direct
+    // session runs each job once; a pending session's correction restart
+    // re-runs the log from the start. Only the owning runner (or
+    // CorrectAnswer, while no runner owns the session) writes
+    // jobs_completed, so the runner may read it without the lock.
     std::vector<JobRecord> job_log;
     size_t jobs_completed = 0;
     // Round ids retired so far: answered rounds, plus one per correction.
+    // The next parked round's id; Shard::Park is the one place that stamps
+    // it.
     int64_t answered_rounds = 0;
     // Set exactly while the session is suspended on a user round that
     // ProvideAnswers will resume; `awaiting_slot` is then its position in
@@ -434,18 +444,16 @@ class SessionRouter {
     size_t awaiting_slot = 0;
     // Resident bytes of the parked stack while awaiting (ServiceStats).
     size_t snapshot_bytes = 0;
-    // `fiber` is the parked continuation — the suspended job's live call
-    // stack. `staged_answers` carries the answered round's bits from
-    // ProvideAnswers to the resuming runner. `correction` carries a
-    // CorrectAnswer's index to the runner, which unwinds the parked stack it
-    // abandoned (cancel + one last resume) and restarts from it.
-    // `fiber_jobs_run` is the body's progress cursor — jobs fully run this
-    // attempt — read by the host after each switch back, so all completion
-    // bookkeeping stays on the host side of the switch.
+    // `fiber` is a pending session's attempt: while parked, the suspended
+    // job's live call stack. `correction` carries a CorrectAnswer's index
+    // to the runner, which unwinds the parked stack it abandoned and
+    // restarts from it. `jobs_run` is the job loop's progress cursor —
+    // jobs fully run this attempt — read by the runner after the loop
+    // returns or parks, so all completion bookkeeping stays on the host
+    // side of a fiber switch.
     std::unique_ptr<Fiber> fiber;
-    std::vector<bool> staged_answers;
     std::optional<size_t> correction;
-    size_t fiber_jobs_run = 0;
+    size_t jobs_run = 0;
     int64_t suspensions = 0;
     bool running = false;  // a runner task currently owns this session
     bool closed = false;
@@ -466,9 +474,8 @@ class SessionRouter {
     // poll walks instead of `sessions`, so it costs O(awaiting) however
     // many sessions the shard has hosted.
     std::vector<SessionState*> awaiting QHORN_GUARDED_BY(mutex);
-    // Jobs that can make progress right now: queued + running jobs of
-    // direct sessions, plus uncompleted jobs of pending sessions that are
-    // not blocked on a user. A suspension subtracts its session's
+    // Jobs that can make progress right now: uncompleted jobs of sessions
+    // that are not blocked on a user. A suspension subtracts its session's
     // uncompleted jobs; ProvideAnswers adds them back. Drain waits for 0.
     int64_t runnable_jobs QHORN_GUARDED_BY(mutex) = 0;
     // Counters bumped at job completion (stats() folds in session
@@ -482,11 +489,14 @@ class SessionRouter {
 
     /// The session stored under `id`, or nullptr.
     SessionState* Find(SessionId id) QHORN_REQUIRES(mutex);
-    /// Bumps jobs_done and the per-kind counter.
-    void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex);
-    /// Publishes `round` as the session's pending round and lists the
+    /// Folds the session's jobs below `jobs_run` that are not yet counted
+    /// into jobs_done and the per-kind counters, and out of runnable_jobs.
+    void CompleteJobs(SessionState* state, size_t jobs_run)
+        QHORN_REQUIRES(mutex);
+    /// Publishes the round parked at the session's wait-site as its pending
+    /// round, stamped with `id` and the next round id, and lists the
     /// session in `awaiting`. The session must not be awaiting already.
-    void Park(SessionState* state, PendingRound round) QHORN_REQUIRES(mutex);
+    void Park(SessionId id, SessionState* state) QHORN_REQUIRES(mutex);
     /// Drops the session's pending round and swap-removes the session
     /// from `awaiting`. The session must be awaiting.
     void Unpark(SessionState* state) QHORN_REQUIRES(mutex);
@@ -500,14 +510,13 @@ class SessionRouter {
                        std::unique_ptr<MembershipOracle> owned_backend,
                        PendingOracle* pending_backend);
   bool SubmitJob(SessionId id, Job job, JobKind kind);
-  /// Executor task: runs a direct session's queued jobs until the queue is
-  /// empty, then releases ownership.
-  void RunSession(Shard* shard, SessionState* state);
-  /// Executor task for a pending session: resumes the parked continuation
-  /// (or starts a fresh attempt on a new fiber), then either publishes the
-  /// round it parked on and releases the lane, or folds the completed jobs
-  /// into the shard's counters.
-  void RunPendingSession(Shard* shard, SessionState* state);
+  /// Executor task, the one runner of every session: runs the job log from
+  /// its cursor (inline for a direct session; for a pending one, resuming
+  /// the parked attempt or starting a fresh one on a new fiber), folds the
+  /// completed jobs into the shard's counters, and either releases the
+  /// session once the log is exhausted or publishes the round it parked on
+  /// and releases the lane.
+  void RunSession(Shard* shard, SessionId id, SessionState* state);
   /// Cancels and unwinds a parked fiber (correction restart, closed
   /// session teardown): the parked wait-site throws, the stack unwinds to
   /// the fiber body's boundary, and the fiber is destroyed. Must be

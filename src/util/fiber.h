@@ -26,7 +26,7 @@
 // unwound) before destruction — destroying a parked stack would skip the
 // destructors of every live frame on it. Owners that need to tear down a
 // parked fiber (correction, close, router shutdown) first make the parked
-// wait-site throw (PendingOracle::RequestCancel) and Resume() once more:
+// wait-site throw (PendingOracle::cancel) and Resume() once more:
 // the stack unwinds through the ordinary exception machinery, the body
 // catches at its boundary, and the fiber finishes cleanly.
 

@@ -1,4 +1,4 @@
-// Pending-round session continuations: the PendingOracle backend, the
+// Pending-round session continuations: the PendingOracle wait-site, the
 // router's kIdle/kRunning/kAwaitingUser state machine, the
 // PendingRounds()/ProvideAnswers embedding-server protocol, and the
 // park-and-resume determinism contract.
@@ -40,12 +40,11 @@ namespace {
 // PendingOracle unit behaviour.
 
 TEST(PendingOracleTest, NonEmptyRoundRecordsQuestionsAndSuspends) {
-  // The backend as the router drives it: the rounds run on a fiber, each
-  // one parks through the yield hook, and a resume hands back the staged
-  // answers.
+  // The wait-site as the router drives it: the rounds run on a fiber, each
+  // one records its questions and parks, and a resume hands back the
+  // staged answers. Session and round ids are the router's to stamp
+  // (ContinuationEdgeTest.RoundIdsCountRetiredRounds).
   PendingOracle oracle;
-  oracle.set_session_id(42);
-  oracle.BeginAttempt(/*next_round_id=*/3);
   Rng rng(1);
   std::vector<TupleSet> questions = {RandomObject(4, rng, 3),
                                      RandomObject(4, rng, 3)};
@@ -56,56 +55,48 @@ TEST(PendingOracleTest, NonEmptyRoundRecordsQuestionsAndSuspends) {
     oracle.IsAnswerBatch(questions, span);
     single = oracle.IsAnswer(questions[0]);
   });
-  oracle.InstallYieldHook([&fiber] { fiber.Yield(); });
+  oracle.fiber = &fiber;
   fiber.Resume();
   ASSERT_FALSE(fiber.finished());
-  ASSERT_TRUE(oracle.has_pending());
-  PendingRound round = oracle.TakePending();
-  EXPECT_EQ(round.session_id, 42);
-  EXPECT_EQ(round.round_id, 3);
-  ASSERT_EQ(round.questions.size(), 2u);
-  EXPECT_EQ(round.questions[0], questions[0]);
-  EXPECT_EQ(round.questions[1], questions[1]);
-  EXPECT_FALSE(oracle.has_pending());
-  EXPECT_EQ(oracle.suspensions(), 1);
+  ASSERT_EQ(oracle.questions.size(), 2u);
+  EXPECT_EQ(oracle.questions[0], questions[0]);
+  EXPECT_EQ(oracle.questions[1], questions[1]);
 
-  // The resumed batch returns the staged bits; the single-question path is
-  // then a one-question round carrying the next id.
-  oracle.StageResumeAnswers({true, false});
+  // The resumed batch returns the staged bits, and the round is over: the
+  // wait-site drops its questions. The single-question path is then a
+  // one-question round.
+  oracle.staged = {true, false};
   fiber.Resume();
   EXPECT_TRUE(span.Get(0));
   EXPECT_FALSE(span.Get(1));
   ASSERT_FALSE(fiber.finished());
-  round = oracle.TakePending();
-  EXPECT_EQ(round.round_id, 4);
-  ASSERT_EQ(round.questions.size(), 1u);
-  oracle.StageResumeAnswers({true});
+  ASSERT_EQ(oracle.questions.size(), 1u);
+  EXPECT_EQ(oracle.questions[0], questions[0]);
+  oracle.staged = {true};
   fiber.Resume();
   EXPECT_TRUE(fiber.finished());
   EXPECT_TRUE(single);
-  EXPECT_EQ(oracle.suspensions(), 2);
+  EXPECT_TRUE(oracle.questions.empty());
+  EXPECT_TRUE(oracle.staged.empty());
 }
 
 TEST(PendingOracleDeathTest, RoundWithoutYieldHookAborts) {
   // Parking is the only way a pending round suspends: a round reaching a
-  // backend that no fiber runner has hooked is a runner bug, refused
-  // before the round is recorded.
+  // wait-site with no fiber set is a runner bug, refused before the round
+  // is recorded.
   PendingOracle oracle;
-  oracle.BeginAttempt(0);
   Rng rng(1);
   std::vector<TupleSet> questions = {RandomObject(4, rng, 3)};
   BitVec bits;
-  EXPECT_DEATH(oracle.IsAnswerBatch(questions, bits.Prepare(1)),
-               "no yield hook");
+  EXPECT_DEATH(oracle.IsAnswerBatch(questions, bits.Prepare(1)), "no fiber");
 }
 
 TEST(PendingOracleTest, EmptyRoundIsANoOpNotASuspension) {
+  // No fiber is set, so a park would abort: an empty round must not park.
   PendingOracle oracle;
-  oracle.BeginAttempt(0);
   BitVec bits;
   EXPECT_NO_THROW(oracle.IsAnswerBatch({}, bits.Prepare(0)));
-  EXPECT_FALSE(oracle.has_pending());
-  EXPECT_EQ(oracle.suspensions(), 0);
+  EXPECT_TRUE(oracle.questions.empty());
 }
 
 // ---------------------------------------------------------------------------
