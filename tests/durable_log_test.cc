@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "src/durable/fs.h"
@@ -153,6 +154,36 @@ TEST(SessionLogTest, WideAnswerRoundSurvivesByteBoundaries) {
   ASSERT_EQ(r.status, LogReadStatus::kOk) << r.error;
   ASSERT_EQ(r.records.size(), 1u);
   EXPECT_EQ(r.records[0].answers, expect);
+}
+
+// The bytes a fixed sequence of appends leaves on disk, pinned by the
+// CRC32C of the whole file: a change to how a record is encoded, however
+// it is reached, must show here before any log written by an older build
+// is read by a newer one.
+TEST(SessionLogTest, AppendedFramesAreUnchanged) {
+  MemFs mem;
+  {
+    auto log = MustOpen(&mem);
+    ASSERT_NE(log, nullptr);
+    BitVec vec;
+    ASSERT_TRUE(log->AppendSessionOpened(1, SampleSpec(0)));
+    ASSERT_TRUE(log->AppendSessionOpened(2, SampleSpec(1)));
+    ASSERT_TRUE(
+        log->AppendRoundAnswered(1, 0, MakeAnswers(vec, {true, false, true})));
+    BitSpan wide = vec.Prepare(19);
+    for (size_t i = 0; i < 19; ++i) wide.Set(i, i % 3 != 1);
+    ASSERT_TRUE(log->AppendRoundAnswered(2, 0, wide));
+    ASSERT_TRUE(log->AppendSessionClosed(1));
+    ASSERT_TRUE(log->AppendRoundAnswered(2, 1, vec.Prepare(0)));
+    ASSERT_TRUE(log->AppendRoundAnswered(2, 2, MakeAnswers(vec, {false})));
+    ASSERT_TRUE(log->AppendSessionClosed(2));
+  }
+  std::string bytes;
+  ASSERT_TRUE(mem.ReadFile(kPath, &bytes));
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "0x%08x", Crc32c(bytes));
+  EXPECT_EQ(bytes.size(), 423u);
+  EXPECT_EQ(std::string(crc), "0x0faaa3ac");
 }
 
 TEST(SessionLogTest, TornTailIsTruncatedLoudlyNotRejected) {

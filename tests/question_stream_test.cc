@@ -207,29 +207,74 @@ void ExpectPinned(const PinCase& c) {
   }
 }
 
+// The pinned plain-learn sessions.
+std::vector<PinCase> LearnCases() {
+  return {
+      {QueryClass::kQhorn1, 24, 11, false,
+       {0x72f8dfc5a62920a0, 0x22a80a007bbfbf2c, 0x30eda6e8ea9563df}},
+      {QueryClass::kQhorn1, 32, 12, false,
+       {0xe6505fe0c9a85511, 0x6785f3ed1c123e26, 0x04ebe513d3a8c9ee}},
+      {QueryClass::kRpExistential, 24, 21, false,
+       {0x1af9a0f5584e24e9, 0xc5c594f35f277f7a, 0x42d00f4ef25adf69}},
+      {QueryClass::kRpExistential, 32, 22, false,
+       {0x125892c7334b5e0b, 0x1bcd6e1c2e248cfc, 0x0d4c77217a66c798}},
+      {QueryClass::kRpExistential, 24, 23, true,
+       {0xb13f17d3a595c048, 0xb25b86cdba71feed, 0x0d3491826a87244b}},
+      {QueryClass::kRpUniversal, 24, 31, false,
+       {0xca3de81a6bafa056, 0x7ea4e40c623c55ec, 0x44f434adabc4813a}},
+      {QueryClass::kRpUniversal, 32, 32, false,
+       {0x6c006e2f0e470816, 0x3843090de01bf2a5, 0xba295fa39fc37984}},
+      {QueryClass::kRpUniversal, 32, 33, true,
+       {0x224656260e98f9a8, 0x09039b1de43eb98a, 0x036ddec1b8b5ce8a}},
+  };
+}
+
+void ExpectPinnedClass(QueryClass query_class) {
+  for (const PinCase& c : LearnCases()) {
+    if (c.query_class == query_class) ExpectPinned(c);
+  }
+}
+
 TEST(QuestionStreamPinTest, Qhorn1TargetsAskTheRecordedQuestions) {
-  ExpectPinned({QueryClass::kQhorn1, 24, 11, false,
-                {0x72f8dfc5a62920a0, 0x22a80a007bbfbf2c, 0x30eda6e8ea9563df}});
-  ExpectPinned({QueryClass::kQhorn1, 32, 12, false,
-                {0xe6505fe0c9a85511, 0x6785f3ed1c123e26, 0x04ebe513d3a8c9ee}});
+  ExpectPinnedClass(QueryClass::kQhorn1);
 }
 
 TEST(QuestionStreamPinTest, RpExistentialTargetsAskTheRecordedQuestions) {
-  ExpectPinned({QueryClass::kRpExistential, 24, 21, false,
-                {0x1af9a0f5584e24e9, 0xc5c594f35f277f7a, 0x42d00f4ef25adf69}});
-  ExpectPinned({QueryClass::kRpExistential, 32, 22, false,
-                {0x125892c7334b5e0b, 0x1bcd6e1c2e248cfc, 0x0d4c77217a66c798}});
-  ExpectPinned({QueryClass::kRpExistential, 24, 23, true,
-                {0xb13f17d3a595c048, 0xb25b86cdba71feed, 0x0d3491826a87244b}});
+  ExpectPinnedClass(QueryClass::kRpExistential);
 }
 
 TEST(QuestionStreamPinTest, RpUniversalTargetsAskTheRecordedQuestions) {
-  ExpectPinned({QueryClass::kRpUniversal, 24, 31, false,
-                {0xca3de81a6bafa056, 0x7ea4e40c623c55ec, 0x44f434adabc4813a}});
-  ExpectPinned({QueryClass::kRpUniversal, 32, 32, false,
-                {0x6c006e2f0e470816, 0x3843090de01bf2a5, 0xba295fa39fc37984}});
-  ExpectPinned({QueryClass::kRpUniversal, 32, 33, true,
-                {0x224656260e98f9a8, 0x09039b1de43eb98a, 0x036ddec1b8b5ce8a}});
+  ExpectPinnedClass(QueryClass::kRpUniversal);
+}
+
+// The fingerprint pins only the questions and batched questions of the
+// session's OracleStats. All six fields must equal what a counter wrapped
+// around the user sees, for every plain-learn target in both batching
+// modes: the session counts exactly the questions that reach the user.
+TEST(QuestionStreamPinTest, SessionStatsEqualAUserBoundaryCounter) {
+  for (PinCase c : LearnCases()) {
+    for (bool speculative : {false, true}) {
+      c.speculative = speculative;
+      SCOPED_TRACE(std::string(ToString(c.query_class)) + " n=" +
+                   std::to_string(c.n) + " seed=" + std::to_string(c.seed) +
+                   (speculative ? " speculative" : " sequential"));
+      for (const SessionSpec& s : Targets(c)) {
+        QueryOracle truth(s.target);
+        CountingOracle counting_user(&truth);
+        QuerySession session(s.n, &counting_user, SessionOptions(c));
+        session.Learn();
+        const OracleStats& got = session.oracle_stats();
+        const OracleStats& want = counting_user.stats();
+        EXPECT_GT(want.questions, 0);
+        EXPECT_EQ(got.questions, want.questions);
+        EXPECT_EQ(got.tuples, want.tuples);
+        EXPECT_EQ(got.max_tuples, want.max_tuples);
+        EXPECT_EQ(got.answers, want.answers);
+        EXPECT_EQ(got.rounds, want.rounds);
+        EXPECT_EQ(got.batched_questions, want.batched_questions);
+      }
+    }
+  }
 }
 
 // The pinned correction sessions: a user who answers the kFlipAt-th

@@ -261,12 +261,35 @@ void ExpectPollMatchesScan(SessionRouter& router,
             static_cast<int64_t>(polled.size()));
 }
 
+/// Asserts that stats()'s per-session counters are the sums of the
+/// sessions' own, over every session opened, closed ones included. Call
+/// after Drain.
+void ExpectStatsSumTheSessions(SessionRouter& router,
+                               const std::vector<int64_t>& opened) {
+  ServiceStats sum;
+  for (int64_t id : opened) {
+    QuerySession& session = router.session(id);
+    sum.questions += session.questions_asked();
+    sum.batched_questions += session.oracle_stats().batched_questions;
+    sum.rounds += session.rounds();
+    sum.cache_hits += session.cache_hits();
+    sum.replayed_questions += session.user_questions_replayed();
+  }
+  const ServiceStats stats = router.stats();
+  EXPECT_EQ(stats.questions, sum.questions);
+  EXPECT_EQ(stats.batched_questions, sum.batched_questions);
+  EXPECT_EQ(stats.rounds, sum.rounds);
+  EXPECT_EQ(stats.cache_hits, sum.cache_hits);
+  EXPECT_EQ(stats.replayed_questions, sum.replayed_questions);
+}
+
 TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
   // A seeded mix of every transition in and out of the awaiting index:
   // opens, submits, answers, stale answers, corrections, and closes of
-  // parked and of running sessions. Learner sessions only ever get
-  // truthful answers; corrections go to verifier sessions, whose jobs
-  // stay finite whatever the user says.
+  // parked and of running sessions. After every step the poll matches a
+  // scan of every session, and stats() sums the sessions' own counters.
+  // Learner sessions only ever get truthful answers; corrections go to
+  // verifier sessions, whose jobs stay finite whatever the user says.
   //
   // The mix is a pure function of the seed. Each step's actions read one
   // poll taken after Drain, and an action skips a session an earlier
@@ -377,6 +400,7 @@ TEST(RouterShardTest, PollListsExactlyTheAwaitingSessions) {
       if (::testing::Test::HasFatalFailure()) return;
       router.Drain();
       ExpectPollMatchesScan(router, opened);
+      ExpectStatsSumTheSessions(router, opened);
       if (::testing::Test::HasFatalFailure()) return;
     }
     // The mix reached every transition it is meant to test.
