@@ -41,7 +41,6 @@
 #include "src/learn/qhorn1_learner.h"
 #include "src/learn/rp_learner.h"
 #include "src/oracle/oracle.h"
-#include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/relation/chocolate.h"
 #include "src/session/router.h"

@@ -122,7 +122,7 @@ double RunPendingFleet(int lanes, int sessions,
 
 int main() {
   PrintHeader("E16 | concurrent session service",
-              "SessionRouter + AsyncOracle + shared compiled-query cache; "
+              "SessionRouter + QueryOracle + shared compiled-query cache; "
               "sessions/s at 1 lane vs the default executor");
 
   const int kDistinct = 4;

@@ -152,7 +152,6 @@ CrashOutcome RunCrashDifferential(const WorkloadSpec& spec) {
       spec.speculative_batching;
   dopts.router.session.learner.universal.speculative_batching =
       spec.speculative_batching;
-  dopts.log.fsync_policy = FsyncPolicy::kEveryAppend;
   dopts.shards = 1 + static_cast<int>(spec.seed % 4);
   const std::string log_dir = "qlog";
 

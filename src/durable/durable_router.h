@@ -61,7 +61,7 @@ struct DurableRouterOptions {
   /// Lanes and session options of the in-memory router. `router.shards`
   /// is not read: `shards` below is copied over it.
   SessionRouter::Options router;
-  SessionLogOptions log;  ///< kEveryAppend = full log-before-ack durability
+  SessionLogOptions log;  ///< not read: every append is synced
   /// WAL shards *and* router shards: the in-memory SessionRouter gets the
   /// same count, and session id i lives on WAL shard i mod shards and on
   /// router shard i mod shards, so a commit hook on one WAL only ever

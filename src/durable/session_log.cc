@@ -29,31 +29,14 @@ std::string HeaderBytes() {
   return header;
 }
 
-void EncodeRecordPayload(const LogRecord& rec, std::string* out) {
-  Encoder e(out);
-  e.PutU8(static_cast<uint8_t>(rec.type));
-  e.PutI64(rec.session_id);
-  switch (rec.type) {
-    case LogRecordType::kSessionOpened:
-      EncodeSessionSpec(rec.spec, out);
-      break;
-    case LogRecordType::kRoundAnswered: {
-      e.PutI64(rec.round_id);
-      e.PutU32(static_cast<uint32_t>(rec.answers.size()));
-      uint8_t byte = 0;
-      for (size_t i = 0; i < rec.answers.size(); ++i) {
-        if (rec.answers[i]) byte |= static_cast<uint8_t>(1u << (i % 8));
-        if (i % 8 == 7) {
-          e.PutU8(byte);
-          byte = 0;
-        }
-      }
-      if (rec.answers.size() % 8 != 0) e.PutU8(byte);
-      break;
-    }
-    case LogRecordType::kSessionClosed:
-      break;
-  }
+// A record payload's head, which every record type shares: the type and
+// the session id. The body is appended after it.
+std::string PayloadHead(LogRecordType type, int64_t session_id) {
+  std::string payload;
+  Encoder e(&payload);
+  e.PutU8(static_cast<uint8_t>(type));
+  e.PutI64(session_id);
+  return payload;
 }
 
 bool DecodeRecordPayload(std::string_view payload, LogRecord* out) {
@@ -96,12 +79,11 @@ bool DecodeRecordPayload(std::string_view payload, LogRecord* out) {
 // ---------------------------------------------------------------------------
 // SessionLog (append side)
 
-SessionLog::SessionLog(std::unique_ptr<WritableFile> file, std::string path,
-                       SessionLogOptions options)
-    : file_(std::move(file)), path_(std::move(path)), options_(options) {}
+SessionLog::SessionLog(std::unique_ptr<WritableFile> file, std::string path)
+    : file_(std::move(file)), path_(std::move(path)) {}
 
 std::unique_ptr<SessionLog> SessionLog::Open(Fs* fs, const std::string& path,
-                                             const SessionLogOptions& options,
+                                             const SessionLogOptions&,
                                              std::string* error) {
   bool needs_header = true;
   if (fs->FileExists(path)) {
@@ -134,8 +116,8 @@ std::unique_ptr<SessionLog> SessionLog::Open(Fs* fs, const std::string& path,
     *error = "cannot open " + path + " for append";
     return nullptr;
   }
-  auto log = std::unique_ptr<SessionLog>(
-      new SessionLog(std::move(file), path, options));
+  auto log =
+      std::unique_ptr<SessionLog>(new SessionLog(std::move(file), path));
   if (needs_header) {
     // The header is synced unconditionally: a crash between creation and
     // the first record must leave a recognizable (empty) log, not a
@@ -168,71 +150,46 @@ bool SessionLog::AppendRecord(std::string_view payload) {
     return false;
   }
   ++records_;
-  ++records_since_sync_;
-  bool needs_sync = false;
-  switch (options_.fsync_policy) {
-    case FsyncPolicy::kEveryAppend:
-      needs_sync = true;
-      break;
-    case FsyncPolicy::kEveryN:
-      needs_sync = records_since_sync_ >= options_.fsync_every_n;
-      break;
-    case FsyncPolicy::kNever:
-      break;
+  if (!file_->Sync()) {
+    // Not poisoned: the frame is buffered whole. The caller must not
+    // acknowledge, but may retry with a fresh append of the same record —
+    // recovery treats the resulting duplicate as a no-op.
+    return false;
   }
-  if (needs_sync) {
-    if (!file_->Sync()) {
-      // Not poisoned: the frame is buffered whole. The caller must not
-      // acknowledge, but may retry with a fresh append of the same record
-      // — recovery treats the resulting duplicate as a no-op.
-      return false;
-    }
-    ++syncs_;
-    records_since_sync_ = 0;
-  }
+  ++syncs_;
   return true;
 }
 
 bool SessionLog::AppendSessionOpened(int64_t session_id,
                                      const SessionSpec& spec) {
-  LogRecord rec;
-  rec.type = LogRecordType::kSessionOpened;
-  rec.session_id = session_id;
-  rec.spec = spec;
-  std::string payload;
-  EncodeRecordPayload(rec, &payload);
+  std::string payload =
+      PayloadHead(LogRecordType::kSessionOpened, session_id);
+  EncodeSessionSpec(spec, &payload);
   return AppendRecord(payload);
 }
 
 bool SessionLog::AppendRoundAnswered(int64_t session_id, int64_t round_id,
                                      BitSpan answers) {
-  LogRecord rec;
-  rec.type = LogRecordType::kRoundAnswered;
-  rec.session_id = session_id;
-  rec.round_id = round_id;
-  rec.answers.resize(answers.size());
-  for (size_t i = 0; i < answers.size(); ++i) rec.answers[i] = answers.Get(i);
-  std::string payload;
-  EncodeRecordPayload(rec, &payload);
+  std::string payload =
+      PayloadHead(LogRecordType::kRoundAnswered, session_id);
+  Encoder e(&payload);
+  e.PutI64(round_id);
+  e.PutU32(static_cast<uint32_t>(answers.size()));
+  // Eight answers to a byte, the first in the low bit.
+  uint8_t byte = 0;
+  for (size_t i = 0; i < answers.size(); ++i) {
+    if (answers.Get(i)) byte |= static_cast<uint8_t>(1u << (i % 8));
+    if (i % 8 == 7) {
+      e.PutU8(byte);
+      byte = 0;
+    }
+  }
+  if (answers.size() % 8 != 0) e.PutU8(byte);
   return AppendRecord(payload);
 }
 
 bool SessionLog::AppendSessionClosed(int64_t session_id) {
-  LogRecord rec;
-  rec.type = LogRecordType::kSessionClosed;
-  rec.session_id = session_id;
-  std::string payload;
-  EncodeRecordPayload(rec, &payload);
-  return AppendRecord(payload);
-}
-
-bool SessionLog::SyncNow() {
-  MutexLock lock(&mutex_);
-  if (poisoned_) return false;
-  if (!file_->Sync()) return false;
-  ++syncs_;
-  records_since_sync_ = 0;
-  return true;
+  return AppendRecord(PayloadHead(LogRecordType::kSessionClosed, session_id));
 }
 
 bool SessionLog::poisoned() const {

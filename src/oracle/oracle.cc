@@ -1,16 +1,8 @@
 #include "src/oracle/oracle.h"
 
-#include <algorithm>
 #include <cstdint>
 
 namespace qhorn {
-
-void CountingOracle::Record(const TupleSet& question) {
-  ++stats_.questions;
-  stats_.tuples += static_cast<int64_t>(question.size());
-  stats_.max_tuples =
-      std::max(stats_.max_tuples, static_cast<int64_t>(question.size()));
-}
 
 bool CountingOracle::IsAnswer(const TupleSet& question) {
   // Count only after the inner oracle answers: a cancelled parked round
@@ -19,8 +11,7 @@ bool CountingOracle::IsAnswer(const TupleSet& question) {
   // so the reordering is invisible on the non-throwing path.
   bool answer = inner_->IsAnswer(question);
   ++stats_.rounds;
-  Record(question);
-  if (answer) ++stats_.answers;
+  stats_.Count(question, answer);
   return answer;
 }
 
@@ -35,9 +26,8 @@ void CountingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   inner_->IsAnswerBatch(questions, answers);
   stats_.rounds += static_cast<int64_t>(!questions.empty());
   stats_.batched_questions += static_cast<int64_t>(questions.size());
-  for (const TupleSet& q : questions) Record(q);
   for (size_t i = 0; i < questions.size(); ++i) {
-    if (answers.Get(i)) ++stats_.answers;
+    stats_.Count(questions[i], answers.Get(i));
   }
 }
 

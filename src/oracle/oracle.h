@@ -8,9 +8,9 @@
 //
 // Oracles answer one question at a time (IsAnswer) or a whole round at
 // once (IsAnswerBatch). The batch entry point is the seam for oracle
-// backends that amortize per-question cost — compiled bulk evaluation,
-// cache partitioning, version-space pruning, executor-sharded evaluation
-// (AsyncOracle in pipeline.h) — while the learners stay backend-agnostic.
+// backends that amortize per-question cost — compiled bulk evaluation
+// (QueryOracle), cache partitioning (QuestionStore), version-space
+// pruning (AdversaryOracle) — while the learners stay backend-agnostic.
 //
 // Answers travel as bits: the caller supplies a BitSpan over reusable
 // storage (BitVec), so a round allocates nothing anywhere in the stack.
@@ -19,13 +19,16 @@
 // scratch loads — BM_OracleBatchBatched/1); the learners stopped
 // special-casing singleton rounds anyway, because that residue is
 // invisible next to real rounds and the uniform batch path is what the
-// pipeline and service layers assume.
+// session and service layers assume.
 
 #ifndef QHORN_ORACLE_ORACLE_H_
 #define QHORN_ORACLE_ORACLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/bool/tuple_set.h"
@@ -51,7 +54,7 @@ class MembershipOracle {
   /// evolution, same decorator statistics and transcripts. Overrides are
   /// pure optimizations of that sequential semantics (bulk compiled
   /// evaluation, miss-only forwarding, one version-space partition per
-  /// round, executor-sharded evaluation); tests/oracle_batch_test.cc pins
+  /// round); tests/oracle_batch_test.cc pins
   /// every override against the default question-for-question path.
   ///
   /// `answers.size()` must equal `questions.size()`; answer i is written
@@ -83,30 +86,34 @@ class SequentialOracle : public MembershipOracle {
 };
 
 /// A perfectly reliable simulated user holding a hidden intended query.
-/// The intended query is compiled once at construction; every question is
-/// answered by the compiled engine (extensionally identical to
-/// Query::Evaluate, so learner question counts are unaffected). Batches
-/// dispatch to CompiledQuery::EvaluateAll — one virtual call per round.
+/// Every question is answered by the query's compiled form (extensionally
+/// identical to Query::Evaluate, so learner question counts are
+/// unaffected); batches dispatch to CompiledQuery::EvaluateAll — one
+/// virtual call per round, in question order. The compiled form is
+/// immutable, so any number of oracles, on any number of lanes at once,
+/// may share one (SessionRouter::OpenSimulated hands out the shared
+/// compiled-query cache's).
 class QueryOracle : public MembershipOracle {
  public:
-  explicit QueryOracle(Query intended, EvalOptions opts = EvalOptions())
-      : intended_(std::move(intended)), compiled_(intended_, opts) {}
+  explicit QueryOracle(const Query& intended,
+                       EvalOptions opts = EvalOptions())
+      : QueryOracle(std::make_shared<const CompiledQuery>(intended, opts)) {}
+  explicit QueryOracle(std::shared_ptr<const CompiledQuery> compiled)
+      : compiled_(std::move(compiled)) {}
 
   bool IsAnswer(const TupleSet& question) override {
-    return compiled_.Evaluate(question);
+    return compiled_->Evaluate(question);
   }
 
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override {
-    compiled_.EvaluateAll(questions, answers);
+    compiled_->EvaluateAll(questions, answers);
   }
 
-  const Query& intended() const { return intended_; }
-  const CompiledQuery& compiled() const { return compiled_; }
+  const CompiledQuery& compiled() const { return *compiled_; }
 
  private:
-  Query intended_;
-  CompiledQuery compiled_;
+  std::shared_ptr<const CompiledQuery> compiled_;
 };
 
 /// Question-count statistics (the unit all of the paper's bounds are in).
@@ -118,7 +125,17 @@ struct OracleStats {
   int64_t rounds = 0;           ///< oracle calls (a batch is one round)
   int64_t batched_questions = 0;  ///< questions that arrived inside batches
 
+  /// Counts one answered question; the caller counts its round.
+  void Count(const TupleSet& question, bool answer) {
+    const auto size = static_cast<int64_t>(question.size());
+    ++questions;
+    tuples += size;
+    max_tuples = std::max(max_tuples, size);
+    answers += answer;
+  }
+
   void Reset() { *this = OracleStats(); }
+  bool operator==(const OracleStats&) const = default;
 };
 
 /// Decorator that counts questions, question sizes and oracle rounds.
@@ -134,8 +151,6 @@ class CountingOracle : public MembershipOracle {
   void ResetStats() { stats_.Reset(); }
 
  private:
-  void Record(const TupleSet& question);
-
   MembershipOracle* inner_;
   OracleStats stats_;
 };

@@ -81,7 +81,8 @@ bool QuestionStore::IsAnswer(const TupleSet& question) {
     // nothing has been stored or counted yet, so the unanswered question
     // leaves no trace.
     const bool answer = inner_->IsAnswer(question);
-    ++misses_;
+    ++forwarded_.rounds;
+    forwarded_.Count(question, answer);
     record.offset = static_cast<uint32_t>(tuples_.size());
     Insert(question, hash, probed.slot, answer ? kYes : kNo);
     record.response = answer;
@@ -160,13 +161,15 @@ void QuestionStore::IsAnswerBatch(std::span<const TupleSet> questions,
         slot_of_[i] = Probe(questions[i], questions[i].Hash()).slot;
       }
     }
+    ++forwarded_.rounds;
+    forwarded_.batched_questions += static_cast<int64_t>(miss_indices_.size());
     for (size_t k = 0; k < miss_indices_.size(); ++k) {
       Slot& slot = slots_[slot_of_[miss_indices_[k]]];
       slot.size_state = (slot.size_state & ~3u) |
                         (miss_bits.Get(k) ? kYes : kNo);
+      forwarded_.Count(questions[miss_indices_[k]], miss_bits.Get(k));
     }
   }
-  misses_ += static_cast<int64_t>(miss_indices_.size());
   hits_ += static_cast<int64_t>(questions.size() - miss_indices_.size());
   size_t next_miss = 0;
   for (size_t i = 0; i < questions.size(); ++i) {
@@ -211,7 +214,7 @@ size_t QuestionStore::AnswerIndex(size_t index) const {
 
 std::vector<TranscriptEntry> QuestionStore::CorrectedUserPrefix(
     size_t answer, std::span<const TranscriptEntry> head) const {
-  QHORN_CHECK_MSG(answer < std::max(static_cast<size_t>(misses_), head.size()),
+  QHORN_CHECK_MSG(answer < std::max(static_cast<size_t>(misses()), head.size()),
                   "no user answer " << answer);
   std::vector<TranscriptEntry> prefix(
       head.begin(), head.begin() + std::min(head.size(), answer + 1));

@@ -58,6 +58,10 @@ struct TranscriptEntry {
 /// by the first insert, so a short session pays for a few hundred bytes,
 /// not for the ~2000 questions of a wide one.
 ///
+/// It also counts what it forwards, as a CountingOracle directly below it
+/// would: forwarded() is the number of questions that reached the wrapped
+/// oracle (the user, in a session), their sizes, answers and rounds.
+///
 /// A batch forwards only its unique misses to the wrapped oracle. When the
 /// misses form one contiguous run (the common shapes: an all-fresh round,
 /// or hits only at the edges), the forward is a subspan of the caller's
@@ -65,8 +69,8 @@ struct TranscriptEntry {
 /// round; only rounds with hits *interleaved between* misses fall back to
 /// gathering the misses into a scratch vector. A round the wrapped oracle
 /// cancels by throwing (a pending backend's cancelled round) leaves the
-/// log, the table, the round counter and the hit and miss counts as they
-/// were before it.
+/// log, the table, the round counter and every count as they were before
+/// it.
 class QuestionStore : public MembershipOracle {
  public:
   /// Slots in the first table, allocated by the first insert (so opening
@@ -99,7 +103,11 @@ class QuestionStore : public MembershipOracle {
   int64_t rounds() const { return rounds_; }
   /// Questions answered from the store, and questions forwarded.
   int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
+  int64_t misses() const { return forwarded_.questions; }
+  /// What the store forwarded, counted as a CountingOracle directly below
+  /// it would count: rounds are the forwarded rounds, and a round of only
+  /// hits is none.
+  const OracleStats& forwarded() const { return forwarded_; }
   /// Distinct questions stored; the table's current slot count (0 before
   /// the first insert); the tuples the log holds.
   size_t size() const { return count_; }
@@ -158,7 +166,7 @@ class QuestionStore : public MembershipOracle {
   size_t count_ = 0;
   int64_t rounds_ = 0;
   int64_t hits_ = 0;
-  int64_t misses_ = 0;
+  OracleStats forwarded_;
   // Round-local scratch, members so a steady-state round allocates
   // nothing. Never read across calls; safe because the inner round runs on
   // a *different* oracle object (the stack is a chain, not a cycle).
@@ -175,7 +183,7 @@ class QuestionStore : public MembershipOracle {
 /// without re-asking the user anything they already answered.
 class ReplayOracle : public MembershipOracle {
  public:
-  /// Inner oracle first, as OraclePipeline::Push constructs a stage.
+  /// The fallback first, as every decorator takes the oracle it wraps.
   ReplayOracle(MembershipOracle* fallback,
                std::vector<TranscriptEntry> transcript)
       : transcript_(std::move(transcript)), fallback_(fallback) {}

@@ -154,7 +154,7 @@ SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user) {
 
 SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
                                                       EvalOptions opts) {
-  auto backend = std::make_unique<AsyncOracle>(cache_.Get(intended, opts));
+  auto backend = std::make_unique<QueryOracle>(cache_.Get(intended, opts));
   MembershipOracle* user = backend.get();
   return AddSession(0, intended.n(), user, std::move(backend), nullptr);
 }
@@ -203,6 +203,19 @@ void SessionRouter::Shard::CompleteJobs(SessionState* state,
         break;
     }
   }
+  const QuerySession& session = *state->session;
+  const SessionCounters now{session.questions_asked(),
+                            session.oracle_stats().batched_questions,
+                            session.rounds(), session.cache_hits(),
+                            session.user_questions_replayed()};
+  session_counters.questions += now.questions - state->folded.questions;
+  session_counters.batched_questions +=
+      now.batched_questions - state->folded.batched_questions;
+  session_counters.rounds += now.rounds - state->folded.rounds;
+  session_counters.cache_hits += now.cache_hits - state->folded.cache_hits;
+  session_counters.replayed_questions +=
+      now.replayed_questions - state->folded.replayed_questions;
+  state->folded = now;
 }
 
 bool SessionRouter::Submit(SessionId id, Job job) {
@@ -265,7 +278,7 @@ void SessionRouter::RunSession(Shard* shard, SessionId id,
     if (wait == nullptr) {
       run_jobs();
     } else if (state->fiber == nullptr) {
-      // Fresh attempt. Once a job has completed, the pipeline reflects
+      // Fresh attempt. Once a job has completed, the session's stack reflects
       // every completed job and new jobs run on it directly; with none
       // completed (first run, or a correction restart) it is rebuilt, with
       // a correction's prefix replayed — the only quadratic path, paid
@@ -565,8 +578,6 @@ ServiceStats SessionRouter::stats() {
   for (const auto& owned : shards_) {
     Shard& shard = *owned;
     MutexLock lock(&shard.mutex);
-    QHORN_CHECK_MSG(shard.runnable_jobs == 0,
-                    "stats() requires an idle router");
     stats.sessions += static_cast<int64_t>(shard.sessions.size());
     stats.jobs += shard.jobs_done;
     stats.learns += shard.learns;
@@ -578,14 +589,11 @@ ServiceStats SessionRouter::stats() {
     for (const SessionState* state : shard.awaiting) {
       stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
     }
-    for (const auto& [id, state] : shard.sessions) {
-      const OracleStats& os = state->session->oracle_stats();
-      stats.questions += os.questions;
-      stats.batched_questions += os.batched_questions;
-      stats.rounds += state->session->rounds();
-      stats.cache_hits += state->session->cache_hits();
-      stats.replayed_questions += state->session->user_questions_replayed();
-    }
+    stats.questions += shard.session_counters.questions;
+    stats.batched_questions += shard.session_counters.batched_questions;
+    stats.rounds += shard.session_counters.rounds;
+    stats.cache_hits += shard.session_counters.cache_hits;
+    stats.replayed_questions += shard.session_counters.replayed_questions;
   }
   stats.compiled_hits = cache_.hits();
   stats.compiled_misses = cache_.misses();

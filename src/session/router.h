@@ -4,8 +4,8 @@
 // target is heavy traffic from many concurrent users. The router owns the
 // executor and multiplexes N live sessions across it:
 //
-//   * Each session keeps its own oracle pipeline (question store →
-//     counting → user backend), so per-user state never crosses threads.
+//   * Each session keeps its own question stack (question store →
+//     [replay] → user backend), so per-user state never crosses threads.
 //   * Jobs against one session run strictly in submission order, one at a
 //     time (QuerySession is not thread-safe and the learning protocol is
 //     inherently sequential per user); jobs of different sessions run in
@@ -13,8 +13,9 @@
 //   * Simulated users opened through OpenSimulated share compiled queries
 //     via a cache keyed by canonical form (Proposition 4.1: equal forms ⇒
 //     identical answers), so a thousand sessions against a hundred target
-//     queries compile each query once. Their AsyncOracle backends evaluate
-//     each round inline on the session's lane.
+//     queries compile each query once. Their QueryOracle backends share
+//     the compiled form and evaluate each round inline on the session's
+//     lane.
 //
 // Shards: the session space is split across Options::shards shards, each
 // with its own mutex, session map, runnable-job count and counters.
@@ -29,6 +30,13 @@
 // shard, so one pass suffices. Observables never depend on the shard
 // count — that is the differential the shard suites and the fuzz sweep
 // pin.
+//
+// Counters: the runner folds a session's question, round, store-hit and
+// replay counters into its shard's totals wherever it folds completed
+// jobs (a job's completion, and a park), as deltas against what it folded
+// last. stats() therefore sums per-shard fields only, under each shard's
+// mutex, and is legal at any time — with jobs in flight it reports each
+// running session as of its last fold.
 //
 // Scaling model: throughput ≈ min(lanes, shards × per-shard capacity).
 // Shards bound protocol-call parallelism (mutex acquisitions spread
@@ -65,7 +73,7 @@
 // Restarts: a correction (CorrectAnswer) cannot resume a stack built over
 // the old answer. It records the answer's index; the lane running the
 // restart unwinds the parked stack (cancel + one last resume) and rebuilds
-// the pipeline with the corrected prefix, taken from the session's own
+// the question stack with the corrected prefix, taken from the session's own
 // record of its answers, replayed at the user boundary
 // (QuerySession::ResetWithUserReplay). The router keeps no copy of them.
 // Learners are deterministic functions of the transcript, so the restart
@@ -99,7 +107,6 @@
 
 #include "src/core/normalize.h"
 #include "src/oracle/pending.h"
-#include "src/oracle/pipeline.h"
 #include "src/session/session.h"
 #include "src/util/checked_mutex.h"
 #include "src/util/executor.h"
@@ -252,9 +259,9 @@ class SessionRouter {
   /// with another session.
   SessionId Open(int n, MembershipOracle* user);
 
-  /// Opens a session against a simulated user holding `intended`: the
-  /// compiled form comes from the shared cache (AsyncOracle backend). The
-  /// router owns the backend.
+  /// Opens a session against a simulated user holding `intended`: a
+  /// QueryOracle over the shared cache's compiled form. The router owns
+  /// the backend.
   SessionId OpenSimulated(const Query& intended,
                           EvalOptions opts = EvalOptions());
 
@@ -393,8 +400,10 @@ class SessionRouter {
   QuerySession& session(SessionId id);
 
   /// Aggregate counters summed across shards, the shared compiled-query
-  /// cache counted once. Requires no runnable job (call after Drain;
-  /// sessions awaiting user answers are fine).
+  /// cache counted once. Callable at any time: with jobs in flight, a
+  /// running session counts as of its last completed job or park; after
+  /// Drain, the per-session counters are exactly the sums of the sessions'
+  /// own.
   ServiceStats stats();
 
   Executor* executor() const { return executor_.get(); }
@@ -404,6 +413,15 @@ class SessionRouter {
   struct JobRecord {
     Job fn;
     JobKind kind = JobKind::kOther;
+  };
+  // The session counters ServiceStats sums. A correction restart lowers
+  // them, so a fold may subtract.
+  struct SessionCounters {
+    int64_t questions = 0;
+    int64_t batched_questions = 0;
+    int64_t rounds = 0;
+    int64_t cache_hits = 0;
+    int64_t replayed_questions = 0;
   };
 
   // Locking protocol: the job log and its completion cursor, the retired
@@ -455,6 +473,8 @@ class SessionRouter {
     std::optional<size_t> correction;
     size_t jobs_run = 0;
     int64_t suspensions = 0;
+    // The session's counters as last folded into its shard's.
+    SessionCounters folded;
     bool running = false;  // a runner task currently owns this session
     bool closed = false;
   };
@@ -478,19 +498,21 @@ class SessionRouter {
     // that are not blocked on a user. A suspension subtracts its session's
     // uncompleted jobs; ProvideAnswers adds them back. Drain waits for 0.
     int64_t runnable_jobs QHORN_GUARDED_BY(mutex) = 0;
-    // Counters bumped at job completion (stats() folds in session
-    // counters).
+    // Counters bumped at job completion and at a park; stats() sums them.
     int64_t jobs_done QHORN_GUARDED_BY(mutex) = 0;
     int64_t learns QHORN_GUARDED_BY(mutex) = 0;
     int64_t verifies QHORN_GUARDED_BY(mutex) = 0;
     int64_t revisions QHORN_GUARDED_BY(mutex) = 0;
     int64_t suspensions QHORN_GUARDED_BY(mutex) = 0;
     int64_t corrections QHORN_GUARDED_BY(mutex) = 0;
+    SessionCounters session_counters QHORN_GUARDED_BY(mutex);
 
     /// The session stored under `id`, or nullptr.
     SessionState* Find(SessionId id) QHORN_REQUIRES(mutex);
     /// Folds the session's jobs below `jobs_run` that are not yet counted
-    /// into jobs_done and the per-kind counters, and out of runnable_jobs.
+    /// into jobs_done and the per-kind counters, and out of runnable_jobs,
+    /// and the session's counters into session_counters. Only the runner
+    /// that owns the session calls it.
     void CompleteJobs(SessionState* state, size_t jobs_run)
         QHORN_REQUIRES(mutex);
     /// Publishes the round parked at the session's wait-site as its pending

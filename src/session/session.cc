@@ -17,7 +17,7 @@ QuerySession::QuerySession(int n, MembershipOracle* user, Options options)
 }
 
 std::span<const TranscriptEntry> QuerySession::ReplayHead() const {
-  if (user_replay_ == nullptr) return {};
+  if (!user_replay_.has_value()) return {};
   return user_replay_->transcript();
 }
 
@@ -30,19 +30,18 @@ void QuerySession::BuildPipeline(std::optional<size_t> corrected_answer) {
   if (corrected_answer.has_value()) {
     user_prefix = store_->CorrectedUserPrefix(*corrected_answer, ReplayHead());
   }
-  // The live user-boundary replay stage dies with the old pipeline; bank
-  // its served-question count first so user_questions_replayed() stays
+  // The live user-boundary replay stage dies with the old stack; bank its
+  // served-question count first so user_questions_replayed() stays
   // cumulative across restarts.
-  if (user_replay_ != nullptr) user_replayed_total_ += user_replay_->replayed();
-  user_replay_ = nullptr;
-  OraclePipeline pipeline(user_);
-  if (!user_prefix.empty()) {
-    user_replay_ = pipeline.Push<ReplayOracle>(std::move(user_prefix));
+  if (user_replay_.has_value()) {
+    user_replayed_total_ += user_replay_->replayed();
+    user_replay_.reset();
   }
-  counting_ = pipeline.Push<CountingOracle>();
-  store_ = pipeline.Push<QuestionStore>();
-  pipeline_ = std::move(pipeline);
-  top_ = pipeline_.top();
+  MembershipOracle* below_store = user_;
+  if (!user_prefix.empty()) {
+    below_store = &user_replay_.emplace(user_, std::move(user_prefix));
+  }
+  store_.emplace(below_store);
   current_.reset();
 }
 
@@ -53,21 +52,22 @@ void QuerySession::ResetWithUserReplay(
 }
 
 const Query& QuerySession::Learn() {
-  RpLearnerResult result = LearnRolePreserving(n_, top_, options_.learner);
+  RpLearnerResult result =
+      LearnRolePreserving(n_, &*store_, options_.learner);
   current_ = std::move(result.query);
   return *current_;
 }
 
 VerificationReport QuerySession::Verify(const Query& candidate) {
   QHORN_CHECK_MSG(candidate.n() == n_, "candidate arity mismatch");
-  VerificationReport report = VerifyQuery(candidate, top_);
+  VerificationReport report = VerifyQuery(candidate, &*store_);
   if (report.accepted) current_ = candidate;
   return report;
 }
 
 RevisionResult QuerySession::Revise(const Query& candidate) {
   QHORN_CHECK_MSG(candidate.n() == n_, "candidate arity mismatch");
-  RevisionResult result = ReviseQuery(candidate, top_, options_.learner);
+  RevisionResult result = ReviseQuery(candidate, &*store_, options_.learner);
   current_ = result.query;
   return result;
 }

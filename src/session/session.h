@@ -1,11 +1,20 @@
 // QuerySession — the high-level entry point a query interface embeds.
 //
 // It wires the pieces the paper's DataPlay front-end needs around a single
-// user-facing oracle: a question store (the full response history, and
-// never asking the same object twice), question counting, correction by
-// replay at the user boundary (§5), learning (§3), verification (§4) and
-// revision (§6). The embedding UI implements MembershipOracle (pose the
-// object to the user, return their label); everything else is this class.
+// user-facing oracle: a question store (the full response history, never
+// asking the same object twice, and the count of the questions the user
+// answered — the paper's cost measure), correction by replay at the user
+// boundary (§5), learning (§3), verification (§4) and revision (§6). The
+// embedding UI implements MembershipOracle (pose the object to the user,
+// return their label); everything else is this class.
+//
+// The question stack is two stages, both members of the session:
+//
+//   learner → QuestionStore → [ReplayOracle] → user
+//
+// The replay stage is present only after a correction (or a router
+// restart that replays one), serving the corrected prefix of the user's
+// answers; BuildPipeline rebuilds both in place.
 
 #ifndef QHORN_SESSION_SESSION_H_
 #define QHORN_SESSION_SESSION_H_
@@ -18,7 +27,6 @@
 
 #include "src/learn/revision.h"
 #include "src/learn/rp_learner.h"
-#include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/verify/verifier.h"
 
@@ -34,6 +42,10 @@ class QuerySession {
   /// `user` must outlive the session.
   QuerySession(int n, MembershipOracle* user);
   QuerySession(int n, MembershipOracle* user, Options options);
+
+  // The store points at the replay stage beside it.
+  QuerySession(const QuerySession&) = delete;
+  QuerySession& operator=(const QuerySession&) = delete;
 
   int n() const { return n_; }
 
@@ -74,14 +86,14 @@ class QuerySession {
   const Query& CorrectAndRelearn(size_t index);
 
   /// Pending-round continuation support (SessionRouter): rebuilds the
-  /// whole middleware chain from scratch and forgets the current query.
+  /// question stack from scratch and forgets the current query.
   /// With a `corrected_answer`, user answers 0..corrected_answer, the last
   /// one flipped, are replayed *at the user boundary* (BuildPipeline).
   ///
   /// A pending session's first attempt and every correction restart
   /// (SessionRouter::CorrectAnswer) enter through it: jobs are
   /// deterministic functions of the user's answers, so re-running them
-  /// over fresh decorators with the answered rounds replayed reproduces
+  /// over a fresh stack with the answered rounds replayed reproduces
   /// the exact state a synchronous run would have reached — history,
   /// counts and store hits included — without asking the user twice.
   void ResetWithUserReplay(
@@ -105,11 +117,11 @@ class QuerySession {
   /// last built. After a correction this counts the replayed prefix as
   /// well as the fresh questions (user_questions_replayed() reports the
   /// prefix), as the router's restarted sessions do.
-  int64_t questions_asked() const { return counting_->stats().questions; }
+  int64_t questions_asked() const { return store_->misses(); }
 
-  /// Full per-question statistics below the store, including how many
-  /// questions arrived inside batched rounds.
-  const OracleStats& oracle_stats() const { return counting_->stats(); }
+  /// Full per-question statistics of what the store forwarded, including
+  /// how many questions arrived inside batched rounds.
+  const OracleStats& oracle_stats() const { return store_->forwarded(); }
 
   /// Oracle rounds the session issued (a batch counts once): the number of
   /// user interactions, as opposed to the number of questions. Learners
@@ -121,12 +133,11 @@ class QuerySession {
   int64_t cache_hits() const { return store_->hits(); }
 
  private:
-  /// (Re)builds the middleware chain over the user backend, outermost
-  /// first: store → counting → [replay] → user. A `corrected_answer`
-  /// inserts a ReplayOracle directly above the user serving
-  /// QuestionStore::CorrectedUserPrefix — the one place a corrected prefix
-  /// is built (served questions pass through every decorator, exactly as
-  /// when first asked). Forgets the current query.
+  /// (Re)builds the question stack over the user, outermost first:
+  /// store → [replay] → user. A `corrected_answer` puts a ReplayOracle
+  /// directly above the user serving QuestionStore::CorrectedUserPrefix —
+  /// the one place a corrected prefix is built (served questions reach
+  /// the store exactly as when first asked). Forgets the current query.
   void BuildPipeline(std::optional<size_t> corrected_answer);
   /// The live replay stage's transcript; empty without one.
   std::span<const TranscriptEntry> ReplayHead() const;
@@ -135,15 +146,11 @@ class QuerySession {
   MembershipOracle* user_;
   Options options_;
   bool continuation_mode_ = false;  // ResetWithUserReplay has been used
-  // Owning middleware chain; the typed pointers below alias its stages.
-  OraclePipeline pipeline_;
-  CountingOracle* counting_ = nullptr;
-  QuestionStore* store_ = nullptr;
-  ReplayOracle* user_replay_ = nullptr;  // user-boundary stage, if armed
-  MembershipOracle* top_ = nullptr;
+  std::optional<ReplayOracle> user_replay_;  // user-boundary stage, if armed
+  std::optional<QuestionStore> store_;  // always set once constructed
   std::optional<Query> current_;
   // Replayed-question count harvested from retired user-boundary replay
-  // stages (each pipeline rebuild discards the live stage).
+  // stages (each stack rebuild discards the live stage).
   int64_t user_replayed_total_ = 0;
 };
 

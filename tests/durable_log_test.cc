@@ -294,7 +294,6 @@ TEST(SessionLogTest, FailedAppendPoisonsTheLog) {
   // Poison is sticky: the tail is indeterminate, so even a clean append
   // must be refused — only crash-style recovery may touch this file again.
   EXPECT_FALSE(log->AppendSessionClosed(1));
-  EXPECT_FALSE(log->SyncNow());
 
   // And the torn tail on disk is exactly what recovery expects to chop.
   LogReadResult r = ReadLog(&mem, kPath);
@@ -324,48 +323,6 @@ TEST(SessionLogTest, FailedSyncIsRetryableNotPoison) {
   ASSERT_EQ(r.status, LogReadStatus::kOk) << r.error;
   ASSERT_EQ(r.records.size(), 2u);
   EXPECT_EQ(r.records[0].session_id, r.records[1].session_id);
-}
-
-TEST(SessionLogTest, FsyncPolicyNeverLosesBufferedTailOnCrash) {
-  MemFs mem;
-  SessionLogOptions opts;
-  opts.fsync_policy = FsyncPolicy::kNever;
-  auto log = MustOpen(&mem, opts);
-  ASSERT_NE(log, nullptr);
-  ASSERT_TRUE(log->AppendSessionOpened(1, SampleSpec()));
-  ASSERT_TRUE(log->AppendSessionClosed(1));
-
-  // Both records are readable live but nothing beyond the header is
-  // durable; the simulated power cut erases them.
-  EXPECT_EQ(mem.DurableSize(kPath), SessionLog::kHeaderSize);
-  EXPECT_GT(mem.TotalSize(kPath), SessionLog::kHeaderSize);
-  mem.CrashAll();
-  LogReadResult r = ReadLog(&mem, kPath);
-  EXPECT_EQ(r.status, LogReadStatus::kOk) << r.error;
-  EXPECT_TRUE(r.records.empty());
-}
-
-TEST(SessionLogTest, FsyncPolicyEveryNBatchesSyncs) {
-  MemFs mem;
-  SessionLogOptions opts;
-  opts.fsync_policy = FsyncPolicy::kEveryN;
-  opts.fsync_every_n = 2;
-  auto log = MustOpen(&mem, opts);
-  ASSERT_NE(log, nullptr);
-  int64_t header_syncs = log->syncs();
-
-  ASSERT_TRUE(log->AppendSessionClosed(1));
-  EXPECT_EQ(log->syncs(), header_syncs) << "first of a pair stays buffered";
-  uint64_t durable_before = mem.DurableSize(kPath);
-  ASSERT_TRUE(log->AppendSessionClosed(2));
-  EXPECT_EQ(log->syncs(), header_syncs + 1);
-  EXPECT_GT(mem.DurableSize(kPath), durable_before);
-
-  // SyncNow is the shutdown barrier regardless of policy.
-  ASSERT_TRUE(log->AppendSessionClosed(3));
-  EXPECT_LT(mem.DurableSize(kPath), mem.TotalSize(kPath));
-  ASSERT_TRUE(log->SyncNow());
-  EXPECT_EQ(mem.DurableSize(kPath), mem.TotalSize(kPath));
 }
 
 TEST(SessionLogTest, MemFsCrashKeepsDurablePrefixOnly) {

@@ -28,7 +28,6 @@
 #include "src/learn/qhorn1_learner.h"
 #include "src/learn/rp_learner.h"
 #include "src/oracle/adversary.h"
-#include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/session/session.h"
 #include "src/verify/verifier.h"
@@ -415,27 +414,27 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range<uint64_t>(0, 7)));
 
 // ---------------------------------------------------------------------------
-// Pipeline composition and the simulated-user backend. The OraclePipeline
-// must wire the identical stack the hand-built chains above use, and the
-// AsyncOracle backend — whole rounds evaluated over a shared compiled
-// query — must be invisible: same answers in question order, same
-// decorator statistics, same noise draws. SequentialOracle is itself a
-// pipeline stage, so the reference arm is one extra Push.
+// The simulated-user backend over a shared compiled query: QueryOracles
+// evaluating whole rounds over one compiled form must be invisible — same
+// answers in question order, same decorator statistics, same noise draws.
+// (The suite and its cases keep the names they had when that backend was
+// a class of its own, AsyncOracle.)
 
-RunRecord RunPipelineStack(MembershipOracle* backend, const Workload& drive,
-                           bool force_sequential) {
-  OraclePipeline pipeline(backend);
-  CountingOracle* counting = pipeline.Push<CountingOracle>();
-  QuestionStore* store = pipeline.Push<QuestionStore>();
-  if (force_sequential) pipeline.Push<SequentialOracle>();
+RunRecord RunSharedStack(MembershipOracle* backend, const Workload& drive,
+                         bool force_sequential) {
+  CountingOracle counting(backend);
+  QuestionStore store(&counting);
+  SequentialOracle sequential(&store);
   RunRecord record;
-  record.payload = drive(pipeline.top());
-  for (const TranscriptEntry& e : store->entries()) {
+  record.payload =
+      drive(force_sequential ? static_cast<MembershipOracle*>(&sequential)
+                             : &store);
+  for (const TranscriptEntry& e : store.entries()) {
     record.transcript.emplace_back(e.question, e.response);
   }
-  record.stats = counting->stats();
-  record.cache_hits = store->hits();
-  record.cache_misses = store->misses();
+  record.stats = counting.stats();
+  record.cache_hits = store.hits();
+  record.cache_misses = store.misses();
   return record;
 }
 
@@ -496,14 +495,14 @@ TEST_P(PipelineDifferentialTest, AsyncBackendEqualsSequential) {
     // Batched arm: whole rounds through EvaluateAll. Sequential arm: the
     // identical backend decomposed question for question — the semantics
     // being preserved.
-    AsyncOracle batched_backend(compiled);
-    RunRecord batched = RunPipelineStack(&batched_backend, workload,
-                                         /*force_sequential=*/false);
-    AsyncOracle sequential_backend(compiled);
-    RunRecord sequential = RunPipelineStack(&sequential_backend, workload,
-                                            /*force_sequential=*/true);
+    QueryOracle batched_backend(compiled);
+    RunRecord batched = RunSharedStack(&batched_backend, workload,
+                                       /*force_sequential=*/false);
+    QueryOracle sequential_backend(compiled);
+    RunRecord sequential = RunSharedStack(&sequential_backend, workload,
+                                          /*force_sequential=*/true);
     ExpectRecordsEqual(batched, sequential,
-                       "pipeline+async " + name + " n=" + std::to_string(n) +
+                       "shared compiled " + name + " n=" + std::to_string(n) +
                            " seed=" + std::to_string(seed));
   }
 }
@@ -517,16 +516,17 @@ TEST_P(PipelineDifferentialTest, NoisyOverAsyncDrawsFlipsInQuestionOrder) {
   // whether the round below it is batched or decomposed, the flip draws
   // must consume the seed in question order.
   auto run = [&](MembershipOracle* backend, bool force_sequential) {
-    OraclePipeline pipeline(backend);
-    pipeline.Push<NoisyOracle>(0.25, /*seed=*/seed ^ 0xf1f5ULL);
-    CountingOracle* counting = pipeline.Push<CountingOracle>();
-    if (force_sequential) pipeline.Push<SequentialOracle>();
-    std::string payload = WideRoundWorkload(n, seed)(pipeline.top());
-    payload += " answers=" + std::to_string(counting->stats().answers);
+    NoisyOracle noisy(backend, 0.25, /*seed=*/seed ^ 0xf1f5ULL);
+    CountingOracle counting(&noisy);
+    SequentialOracle sequential(&counting);
+    std::string payload = WideRoundWorkload(n, seed)(
+        force_sequential ? static_cast<MembershipOracle*>(&sequential)
+                         : &counting);
+    payload += " answers=" + std::to_string(counting.stats().answers);
     return payload;
   };
-  AsyncOracle batched_backend(compiled);
-  AsyncOracle sequential_backend(compiled);
+  QueryOracle batched_backend(compiled);
+  QueryOracle sequential_backend(compiled);
   EXPECT_EQ(run(&batched_backend, false), run(&sequential_backend, true))
       << "n=" << n << " seed=" << seed;
 }
@@ -535,20 +535,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PipelineDifferentialTest,
     ::testing::Combine(::testing::Values(8, 16, 64),
                        ::testing::Range<uint64_t>(0, 5)));
-
-// The pipeline must compose the same stack QuerySession used to hand-wire:
-// same stats, hits and transcript as the legacy harness RunStack above.
-TEST(PipelineCompositionTest, MatchesHandWiredStack) {
-  Query target = RandomRp(8, 21);
-  Workload workload = RpWorkload(8);
-  RunRecord hand = RunStack(
-      [&] { return std::make_unique<QueryOracle>(target); }, workload,
-      /*force_sequential=*/false);
-  QueryOracle backend(target);
-  RunRecord piped = RunPipelineStack(&backend, workload,
-                                     /*force_sequential=*/false);
-  ExpectRecordsEqual(piped, hand, "pipeline vs hand-wired");
-}
 
 // ---------------------------------------------------------------------------
 // Replay: batches spanning the recorded-prefix boundary must replay the
@@ -608,36 +594,35 @@ TEST(ReplayBatchTest, BatchSpanningPrefixBoundaryMatchesSequential) {
 TEST(EmptyRoundTest, EmptyBatchIsANoOpThroughTheWholeStack) {
   Query target = Query::Parse("∀x1→x2 ∃x3", 3);
   QueryOracle truth(target);
-  OraclePipeline pipeline(&truth);
-  NoisyOracle* noisy = pipeline.Push<NoisyOracle>(0.5, /*seed=*/7);
-  CountingOracle* counting = pipeline.Push<CountingOracle>();
-  QuestionStore* store = pipeline.Push<QuestionStore>();
+  NoisyOracle noisy(&truth, 0.5, /*seed=*/7);
+  CountingOracle counting(&noisy);
+  QuestionStore store(&counting);
 
   BitVec bits;
-  pipeline.top()->IsAnswerBatch({}, bits.Prepare(0));
-  EXPECT_EQ(store->rounds(), 0);
-  EXPECT_TRUE(store->entries().empty());
-  EXPECT_EQ(store->hits(), 0);
-  EXPECT_EQ(store->misses(), 0);
-  EXPECT_EQ(counting->stats().rounds, 0);
-  EXPECT_EQ(counting->stats().questions, 0);
-  EXPECT_EQ(counting->stats().batched_questions, 0);
-  EXPECT_EQ(noisy->flips(), 0);
+  store.IsAnswerBatch({}, bits.Prepare(0));
+  EXPECT_EQ(store.rounds(), 0);
+  EXPECT_TRUE(store.entries().empty());
+  EXPECT_EQ(store.hits(), 0);
+  EXPECT_EQ(store.misses(), 0);
+  EXPECT_EQ(counting.stats().rounds, 0);
+  EXPECT_EQ(counting.stats().questions, 0);
+  EXPECT_EQ(counting.stats().batched_questions, 0);
+  EXPECT_EQ(noisy.flips(), 0);
 
   // Interleaved with real rounds, the empty batch consumes no round id
   // and no noise draw: the round sequence is exactly as if it never
   // happened.
   Rng rng(3);
   std::vector<TupleSet> round = {RandomObject(3, rng, 3)};
-  pipeline.top()->IsAnswerBatch(round, bits.Prepare(1));
-  pipeline.top()->IsAnswerBatch({}, bits.Prepare(0));
+  store.IsAnswerBatch(round, bits.Prepare(1));
+  store.IsAnswerBatch({}, bits.Prepare(0));
   std::vector<TupleSet> round2 = {RandomObject(3, rng, 3)};
-  pipeline.top()->IsAnswerBatch(round2, bits.Prepare(1));
-  EXPECT_EQ(store->rounds(), 2);
-  ASSERT_EQ(store->entries().size(), 2u);
-  EXPECT_EQ(store->entries()[0].round, 0);
-  EXPECT_EQ(store->entries()[1].round, 1);
-  EXPECT_EQ(counting->stats().rounds, 2);
+  store.IsAnswerBatch(round2, bits.Prepare(1));
+  EXPECT_EQ(store.rounds(), 2);
+  ASSERT_EQ(store.entries().size(), 2u);
+  EXPECT_EQ(store.entries()[0].round, 0);
+  EXPECT_EQ(store.entries()[1].round, 1);
+  EXPECT_EQ(counting.stats().rounds, 2);
 }
 
 TEST(EmptyRoundTest, AdversaryAndReplayIgnoreEmptyRounds) {

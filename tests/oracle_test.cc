@@ -245,13 +245,13 @@ struct Observed {
   int64_t rounds = 0;
   size_t stored = 0;
   int64_t hits = 0;
-  int64_t misses = 0;
+  OracleStats forwarded;
   bool operator==(const Observed&) const = default;
 };
 
 Observed Observe(const QuestionStore& store) {
   Observed o{store.stored_tuples(), {},           store.rounds(),
-             store.size(),          store.hits(), store.misses()};
+             store.size(),          store.hits(), store.forwarded()};
   for (const TranscriptEntry& e : store.entries()) {
     o.entries.emplace_back(e.question.tuples(), e.response, e.round);
   }
@@ -260,8 +260,9 @@ Observed Observe(const QuestionStore& store) {
 
 // A round cancelled below the store (the spy throws) must leave the log,
 // the history and the table exactly as they were, in each shape a round
-// can take (store → counting → [replay] → spy); a cancelled question is
-// then forwarded again when re-asked, and found once answered.
+// can take (store → counting → [replay] → spy), the store's forwarded
+// counts included; a cancelled question is then forwarded again when
+// re-asked, and found once answered.
 TEST(CachingOracleRollbackTest, CancelledRoundLeavesTheSharedLogAsItWas) {
   Rng rng(17);
   auto fresh = [&rng] { return RandomQuestion(rng, 32, 1, 16); };

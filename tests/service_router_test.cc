@@ -24,7 +24,6 @@
 #include "src/core/normalize.h"
 #include "src/core/random_query.h"
 #include "src/learn/pac.h"
-#include "src/oracle/pipeline.h"
 #include "src/session/router.h"
 #include "src/util/executor.h"
 #include "tests/session_fingerprint.h"
@@ -220,6 +219,58 @@ TEST(SessionRouterTest, ClosedDirectSessionDrainsItsQueuedJobs) {
   EXPECT_EQ(ran.load(), 2);
   EXPECT_EQ(router.status(id), SessionStatus::kIdle);
   EXPECT_EQ(router.stats().jobs, 2);
+}
+
+TEST(SessionRouterTest, StatsIsReadableWhileJobsRun) {
+  // stats() is a legal call on a live service: one thread polls it while
+  // learn jobs run on 4 lanes. Learning only adds questions, so every poll
+  // reads counters between zero and the drained totals, never falling.
+  SessionRouter::Options opts;
+  opts.threads = 4;
+  SessionRouter router(opts);
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> polls{0};
+  std::thread poller([&] {
+    int64_t last_questions = 0;
+    int64_t last_rounds = 0;
+    while (!done.load()) {
+      const ServiceStats stats = router.stats();
+      EXPECT_GE(stats.questions, last_questions);
+      EXPECT_GE(stats.rounds, last_rounds);
+      last_questions = stats.questions;
+      last_rounds = stats.rounds;
+      ++polls;
+    }
+  });
+  Rng rng(41);
+  RpOptions qopts;
+  qopts.theta = 2;
+  qopts.num_conjunctions = 2;
+  std::vector<SessionRouter::SessionId> ids;
+  for (int s = 0; s < 24; ++s) {
+    qopts.num_heads = s % 3;
+    ids.push_back(
+        router.OpenSimulated(RandomRolePreserving(8 + s % 4, rng, qopts)));
+    ASSERT_TRUE(router.SubmitLearn(ids.back()));
+  }
+  router.Drain();
+  // Let the poller see the drained service at least once.
+  const int64_t polls_at_drain = polls.load();
+  while (polls.load() < polls_at_drain + 2) std::this_thread::yield();
+  done = true;
+  poller.join();
+
+  const ServiceStats stats = router.stats();
+  int64_t questions = 0;
+  int64_t rounds = 0;
+  for (SessionRouter::SessionId id : ids) {
+    questions += router.session(id).questions_asked();
+    rounds += router.session(id).rounds();
+  }
+  EXPECT_EQ(stats.learns, 24);
+  EXPECT_GT(questions, 0);
+  EXPECT_EQ(stats.questions, questions);
+  EXPECT_EQ(stats.rounds, rounds);
 }
 
 TEST(SessionRouterTest, LearnVerifyReviseAcrossSessions) {

@@ -32,7 +32,7 @@ TEST(SmokeBuildTest, EverySubsystemLinks) {
 
   // oracle
   QueryOracle oracle(query);
-  EXPECT_EQ(oracle.intended().n(), 3);
+  EXPECT_EQ(oracle.compiled().n(), 3);
 
   // verify
   VerificationSet set = BuildVerificationSet(query);
