@@ -20,7 +20,6 @@
 #define QHORN_SESSION_SESSION_H_
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
