@@ -420,38 +420,6 @@ INSTANTIATE_TEST_SUITE_P(
 // (The suite and its cases keep the names they had when that backend was
 // a class of its own, AsyncOracle.)
 
-RunRecord RunSharedStack(MembershipOracle* backend, const Workload& drive,
-                         bool force_sequential) {
-  CountingOracle counting(backend);
-  QuestionStore store(&counting);
-  SequentialOracle sequential(&store);
-  RunRecord record;
-  record.payload =
-      drive(force_sequential ? static_cast<MembershipOracle*>(&sequential)
-                             : &store);
-  for (const TranscriptEntry& e : store.entries()) {
-    record.transcript.emplace_back(e.question, e.response);
-  }
-  record.stats = counting.stats();
-  record.cache_hits = store.hits();
-  record.cache_misses = store.misses();
-  return record;
-}
-
-void ExpectRecordsEqual(const RunRecord& batched, const RunRecord& sequential,
-                        const std::string& context) {
-  EXPECT_EQ(batched.payload, sequential.payload) << context;
-  EXPECT_EQ(batched.stats.questions, sequential.stats.questions) << context;
-  EXPECT_EQ(batched.stats.answers, sequential.stats.answers) << context;
-  EXPECT_EQ(batched.cache_hits, sequential.cache_hits) << context;
-  EXPECT_EQ(batched.cache_misses, sequential.cache_misses) << context;
-  ASSERT_EQ(batched.transcript.size(), sequential.transcript.size()) << context;
-  for (size_t i = 0; i < batched.transcript.size(); ++i) {
-    EXPECT_EQ(batched.transcript[i], sequential.transcript[i])
-        << context << " entry " << i;
-  }
-}
-
 /// Wide rounds with in-round duplicates, so the cache partition feeds the
 /// backend miss rounds of a different width than the posed rounds.
 Workload WideRoundWorkload(int n, uint64_t seed) {
@@ -494,16 +462,12 @@ TEST_P(PipelineDifferentialTest, AsyncBackendEqualsSequential) {
            {"wide", WideRoundWorkload(n, seed)}}) {
     // Batched arm: whole rounds through EvaluateAll. Sequential arm: the
     // identical backend decomposed question for question — the semantics
-    // being preserved.
-    QueryOracle batched_backend(compiled);
-    RunRecord batched = RunSharedStack(&batched_backend, workload,
-                                       /*force_sequential=*/false);
-    QueryOracle sequential_backend(compiled);
-    RunRecord sequential = RunSharedStack(&sequential_backend, workload,
-                                          /*force_sequential=*/true);
-    ExpectRecordsEqual(batched, sequential,
-                       "shared compiled " + name + " n=" + std::to_string(n) +
-                           " seed=" + std::to_string(seed));
+    // being preserved. Both arms' backends share one compiled form.
+    ExpectFaithful(
+        [&compiled] { return std::make_unique<QueryOracle>(compiled); },
+        workload,
+        "shared compiled " + name + " n=" + std::to_string(n) +
+            " seed=" + std::to_string(seed));
   }
 }
 
